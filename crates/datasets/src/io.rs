@@ -159,12 +159,17 @@ pub fn read_points_chunked<const D: usize>(
 /// uses for content digests; stable across platforms and fast enough that
 /// checksumming never shows up next to the file I/O it guards.
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    fnv1a_64_extend(FNV1A_64_START, bytes)
+}
+
+/// The FNV-1a 64 offset basis: the hash state before any byte.
+pub const FNV1A_64_START: u64 = 0xcbf29ce484222325;
+
+/// Continues an FNV-1a 64 hash from state `h` over `bytes`. Feeding pieces
+/// in order from [`FNV1A_64_START`] equals [`fnv1a_64`] of their
+/// concatenation, without building it.
+pub fn fnv1a_64_extend(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100000001b3))
 }
 
 /// Little-endian primitive encoder for blob payloads.

@@ -21,6 +21,14 @@
 //! format** and can be transparently reloaded (and rebuilt — the build is
 //! deterministic, so reloaded answers are bit-identical) on its next query.
 //!
+//! Digesting a cloud is O(n), so a caller that keeps querying one cloud
+//! names it with [`CloudRef::Known`] — the points plus the key an earlier
+//! response returned. That resolves by exact key and a bitwise check of
+//! the stored points, and falls back to the digest path whenever the key
+//! does not name a resident copy of those points, so the answer (and its
+//! cache outcome) is the one the digest path would give. The wire
+//! sessions and the CLI REPL do this after their first request.
+//!
 //! Queries against a resident cloud skip the local phase entirely:
 //!
 //! - [`ServeEngine::emst`] re-runs only the cross-shard merge (the
@@ -452,8 +460,9 @@ pub struct HdbscanResponse {
 }
 
 /// How a request names its cloud: by sending the points (resolved by
-/// content digest, ingesting on a miss) or by a [`CloudKey`] handle from
-/// an earlier response (reloading from spill on demand).
+/// content digest, ingesting on a miss), by a [`CloudKey`] handle from
+/// an earlier response (reloading from spill on demand), or by both — the
+/// form a session uses once it has learned its cloud's key.
 #[derive(Clone, Copy, Debug)]
 pub enum CloudRef<'a, const D: usize> {
     /// The full point cloud; digested and admitted if not yet resident.
@@ -461,6 +470,17 @@ pub enum CloudRef<'a, const D: usize> {
     /// A previously minted key; errors with [`ServeError::UnknownKey`]
     /// when neither resident nor spilled.
     Key(CloudKey),
+    /// The points plus the key an earlier response served them under.
+    /// A resident under exactly `key` whose stored points equal `points`
+    /// is a hit without digesting; any other case (evicted, re-salted,
+    /// or a key that no longer names these points) resolves exactly as
+    /// [`CloudRef::Points`] would, so answers never depend on the key.
+    Known {
+        /// The key learned from an earlier response.
+        key: CloudKey,
+        /// The cloud the key is expected to name.
+        points: &'a [Point<D>],
+    },
 }
 
 /// One typed serving request — the single argument of
@@ -1147,16 +1167,33 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
         ScratchGuard { pool: &self.scratch_pool, scratch: Some(scratch) }
     }
 
-    /// One verified scan of the resident list for `(digest, K)`: a content
-    /// match is a hit; otherwise the vacant key's salt skips past every
-    /// colliding resident so two distinct clouds never alias.
-    fn lookup(&self, digest: u64, points: &[Point<D>]) -> Lookup<D> {
-        let shards = self.num_shards();
+    /// Counts one cache hit; `waited` marks a hit that parked on another
+    /// thread's single-flight build first.
+    fn count_hit(&self, waited: bool) {
+        self.stats.hits.fetch_add(1, Relaxed);
+        self.obs_event(|o| o.hits.inc());
+        if waited {
+            self.stats.coalesced.fetch_add(1, Relaxed);
+            self.obs_event(|o| o.coalesced.inc());
+        }
+    }
+
+    /// Read-locks the resident list, recording the lock wait.
+    fn read_residents(&self) -> parking_lot::RwLockReadGuard<'_, Vec<Arc<Resident<D>>>> {
         let wait = self.obs_now();
         let residents = self.residents.read();
         if let (Some(obs), Some(wait)) = (&self.obs, wait) {
             obs.lock_residents_read.record(wait.elapsed());
         }
+        residents
+    }
+
+    /// One verified scan of the resident list for `(digest, K)`: a content
+    /// match is a hit; otherwise the vacant key's salt skips past every
+    /// colliding resident so two distinct clouds never alias.
+    fn lookup(&self, digest: u64, points: &[Point<D>]) -> Lookup<D> {
+        let shards = self.num_shards();
+        let residents = self.read_residents();
         let mut salt = 0u32;
         for r in residents.iter() {
             if r.key.digest != digest || r.key.shards != shards {
@@ -1164,7 +1201,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
             }
             // Digest equality is necessary but not sufficient: verify the
             // bytes (cheap at resident scale next to one merge round).
-            if r.points.len() == points.len() && r.points == points {
+            if same_points(&r.points, points) {
                 self.touch(r);
                 return Lookup::Hit(Arc::clone(r));
             }
@@ -1192,7 +1229,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
             for dir in self.spill_dirs() {
                 match spill::read_spill::<D>(dir, key, self.fault_plan()) {
                     Ok(None) => {}
-                    Ok(Some(existing)) if existing.points == points => return key,
+                    Ok(Some(existing)) if same_points(&existing.points, points) => return key,
                     Ok(Some(_)) | Err(_) => {
                         key.salt += 1;
                         continue 'salts;
@@ -1400,6 +1437,41 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
         self.resolve_digest_traced(digest, points, spans)
     }
 
+    /// Resolves a session's learned `key` without digesting: the resident
+    /// under exactly `key` is a hit once its stored points verify equal
+    /// to `points` (the same check a digest hit makes). Anything else —
+    /// evicted, re-salted, or a key that now names other points — falls
+    /// back to [`Self::resolve`], so rebuild, salting and
+    /// single-flight run their one shared path.
+    fn resolve_known(
+        &self,
+        key: CloudKey,
+        points: &[Point<D>],
+        spans: &mut Vec<SpanRecord>,
+    ) -> (Arc<Resident<D>>, CacheOutcome, CounterSnapshot, PhaseTimings) {
+        let verified = self.obs_now();
+        let hit = self
+            .read_residents()
+            .iter()
+            .find(|r| r.key == key && same_points(&r.points, points))
+            .map(Arc::clone);
+        if let Some(verified) = verified {
+            spans.push(SpanRecord {
+                name: "verify",
+                secs: verified.elapsed().as_secs_f64(),
+                fields: vec![("points", points.len() as u64)],
+            });
+        }
+        match hit {
+            Some(r) => {
+                self.touch(&r);
+                self.count_hit(false);
+                (r, CacheOutcome::Hit, CounterSnapshot::default(), PhaseTimings::new())
+            }
+            None => self.resolve(points, spans),
+        }
+    }
+
     /// [`Self::resolve`] with the digest supplied by the caller — the seam
     /// the collision tests use to alias two distinct clouds.
     #[cfg(test)]
@@ -1421,12 +1493,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
         loop {
             let key = match self.lookup(digest, points) {
                 Lookup::Hit(r) => {
-                    self.stats.hits.fetch_add(1, Relaxed);
-                    self.obs_event(|o| o.hits.inc());
-                    if waited {
-                        self.stats.coalesced.fetch_add(1, Relaxed);
-                        self.obs_event(|o| o.coalesced.inc());
-                    }
+                    self.count_hit(waited);
                     return (r, CacheOutcome::Hit, CounterSnapshot::default(), PhaseTimings::new());
                 }
                 Lookup::Vacant(key) => key,
@@ -1451,12 +1518,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
                     // a *distinct* cloud at an already-taken salt.
                     match self.lookup(digest, points) {
                         Lookup::Hit(r) => {
-                            self.stats.hits.fetch_add(1, Relaxed);
-                            self.obs_event(|o| o.hits.inc());
-                            if waited {
-                                self.stats.coalesced.fetch_add(1, Relaxed);
-                                self.obs_event(|o| o.coalesced.inc());
-                            }
+                            self.count_hit(waited);
                             return (
                                 r,
                                 CacheOutcome::Hit,
@@ -1506,12 +1568,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
         let mut waited = false;
         loop {
             if let Some(r) = self.residents.read().iter().find(|r| r.key == key) {
-                self.stats.hits.fetch_add(1, Relaxed);
-                self.obs_event(|o| o.hits.inc());
-                if waited {
-                    self.stats.coalesced.fetch_add(1, Relaxed);
-                    self.obs_event(|o| o.coalesced.inc());
-                }
+                self.count_hit(waited);
                 self.touch(r);
                 return Ok((
                     Arc::clone(r),
@@ -1537,12 +1594,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
                     // between our residency check and winning the flight —
                     // reloading now would admit a duplicate resident.
                     if let Some(r) = self.residents.read().iter().find(|r| r.key == key) {
-                        self.stats.hits.fetch_add(1, Relaxed);
-                        self.obs_event(|o| o.hits.inc());
-                        if waited {
-                            self.stats.coalesced.fetch_add(1, Relaxed);
-                            self.obs_event(|o| o.coalesced.inc());
-                        }
+                        self.count_hit(waited);
                         self.touch(r);
                         return Ok((
                             Arc::clone(r),
@@ -1917,8 +1969,9 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
         }
     }
 
-    /// Resolves either cloud naming to a resident: points by content
-    /// digest (admitting on a miss), a key via residency + spill reload.
+    /// Resolves any cloud naming to a resident: points by content digest
+    /// (admitting on a miss), a key via residency + spill reload, a
+    /// learned key by verified residency with the points path behind it.
     fn resolve_cloud(
         &self,
         cloud: CloudRef<'_, D>,
@@ -1927,6 +1980,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
         match cloud {
             CloudRef::Points(points) => Ok(self.resolve(points, spans)),
             CloudRef::Key(key) => self.resolve_key(key, spans),
+            CloudRef::Known { key, points } => Ok(self.resolve_known(key, points, spans)),
         }
     }
 
@@ -1999,12 +2053,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
         let (child, outcome, build_work, build_timings, report) = loop {
             let key = match self.lookup(digest, &new_points) {
                 Lookup::Hit(child) => {
-                    self.stats.hits.fetch_add(1, Relaxed);
-                    self.obs_event(|o| o.hits.inc());
-                    if waited {
-                        self.stats.coalesced.fetch_add(1, Relaxed);
-                        self.obs_event(|o| o.coalesced.inc());
-                    }
+                    self.count_hit(waited);
                     break (
                         child,
                         CacheOutcome::Hit,
@@ -2029,12 +2078,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
                 Ok(_lease) => {
                     match self.lookup(digest, &new_points) {
                         Lookup::Hit(child) => {
-                            self.stats.hits.fetch_add(1, Relaxed);
-                            self.obs_event(|o| o.hits.inc());
-                            if waited {
-                                self.stats.coalesced.fetch_add(1, Relaxed);
-                                self.obs_event(|o| o.coalesced.inc());
-                            }
+                            self.count_hit(waited);
                             break (
                                 child,
                                 CacheOutcome::Hit,
@@ -2413,6 +2457,15 @@ impl Drop for InFlightGuard<'_> {
     }
 }
 
+/// Whether two clouds hold the same coordinate bits in the same order —
+/// the equality [`digest_points`] hashes. Float `==` would disagree on
+/// NaN (never equal to itself) and on `±0.0` (equal, though their bits
+/// and so their digests differ).
+fn same_points<const D: usize>(a: &[Point<D>], b: &[Point<D>]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(p, q)| (0..D).all(|d| p[d].to_bits() == q[d].to_bits()))
+}
+
 /// Best-effort extraction of a panic payload's message.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -2750,6 +2803,36 @@ mod tests {
         assert_eq!(ra2.key, k0);
         let (rb2, _, _, _) = engine.resolve_digest(0x7, &b);
         assert_eq!(rb2.key, k1);
+    }
+
+    /// NaN ≠ NaN under float `==`, so a float check rejected a NaN-bearing
+    /// cloud's own resident copy (and its own spill file), logged a
+    /// "verified digest collision" and admitted a salted duplicate. The
+    /// solver's debug assertions reject NaN distances, so the resident's
+    /// artifacts come from a finite stand-in of the same size; resolution
+    /// and the salt probe never read them.
+    #[test]
+    fn nan_bearing_clouds_resolve_to_their_own_resident_and_spill() {
+        let finite = random_points_2d(120, 60);
+        let mut nan = finite.clone();
+        nan[7] = Point::new([f32::NAN, 0.5]);
+        let engine = ServeEngine::<_, 2>::new(Serial, ServeConfig::new(2, 1));
+        let key = engine.key(&nan);
+        let artifacts = ShardArtifacts::build(&Serial, &finite, &engine.shard_config());
+        drop(engine.admit(key, nan.clone(), artifacts, &mut vec![]));
+
+        let (r, outcome, _, _) = engine.resolve(&nan, &mut vec![]);
+        assert_eq!((outcome, r.key), (CacheOutcome::Hit, key));
+        let (r, outcome, _, _) = engine.resolve_known(key, &nan, &mut vec![]);
+        assert_eq!((outcome, r.key), (CacheOutcome::Hit, key));
+        drop(r);
+        assert_eq!(engine.num_resident(), 1);
+        let stats = engine.stats();
+        assert_eq!((stats.hits, stats.misses, stats.digest_collisions), (2, 0, 0));
+
+        // Evicted, the cloud's own spill file keeps its salt.
+        engine.resolve(&random_points_2d(120, 61), &mut vec![]); // budget 1: spills `nan`
+        assert_eq!(engine.durable_salt(key, &nan), key);
     }
 
     /// The scratch pool is bounded and panic-safe: guards check their

@@ -35,7 +35,8 @@
 //!
 //! The headline optimisation generalizes the engine's single-flight
 //! *build* coalescing to whole *queries*: concurrent identical requests —
-//! same [`CloudKey`] (the content digest of the session's cloud) and the
+//! same [`CloudKey`] (the key the session learned from an earlier reply,
+//! or on its first request the content digest of its cloud) and the
 //! same canonicalized command line — register on one in-flight flight.
 //! The first becomes the leader and executes; the rest park on a condvar
 //! and receive a byte-for-byte copy of the leader's reply, counted in
@@ -63,7 +64,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use emst_core::Edge;
-use emst_datasets::io::{fnv1a_64, parse_csv, parse_xyz};
+use emst_datasets::io::{fnv1a_64_extend, parse_csv, parse_xyz, FNV1A_64_START};
 use emst_exec::ExecSpace;
 use emst_geometry::Point;
 use emst_hdbscan::Hdbscan;
@@ -140,22 +141,57 @@ impl NetReply {
     }
 }
 
-/// Per-connection state: the cloud this session queries. Starts as the
+/// Per-connection state: the cloud this session queries and, once a reply
+/// has named it, the key the engine serves it under. Starts as the
 /// server's initial cloud; `load <path>`, `insert` and `delete` swap it
-/// (for this connection only), exactly like the REPL's session cloud.
+/// (for this connection only). The CLI's stdin REPL keeps its session
+/// cloud in the same type.
+///
+/// The key is what makes a warm read cost its query, not its cloud size:
+/// a session digests its cloud only on first contact, and every later
+/// request names it as [`CloudRef::Known`] — resolved by exact key plus
+/// the engine's content check, falling back to the digest path whenever
+/// the key no longer names a resident copy of these points.
+#[derive(Clone)]
 pub struct NetSession<const D: usize> {
     points: Arc<Vec<Point<D>>>,
+    key: Option<CloudKey>,
 }
 
 impl<const D: usize> NetSession<D> {
-    /// A session serving `points`.
+    /// A session serving `points`, key not yet learned.
     pub fn new(points: Arc<Vec<Point<D>>>) -> Self {
-        Self { points }
+        Self { points, key: None }
+    }
+
+    /// A session serving `points`, which the engine serves under `key`
+    /// (from the reply of the `load`, `insert` or `delete` that made it).
+    pub fn with_key(points: Arc<Vec<Point<D>>>, key: CloudKey) -> Self {
+        Self { points, key: Some(key) }
     }
 
     /// The cloud the session currently queries.
     pub fn points(&self) -> &Arc<Vec<Point<D>>> {
         &self.points
+    }
+
+    /// The key the last reply served this cloud under, if any yet.
+    pub fn key(&self) -> Option<CloudKey> {
+        self.key
+    }
+
+    /// How requests name the session's cloud: by learned key once known,
+    /// by points (digested) before.
+    pub fn cloud(&self) -> CloudRef<'_, D> {
+        match self.key {
+            Some(key) => CloudRef::Known { key, points: &self.points },
+            None => CloudRef::Points(&self.points),
+        }
+    }
+
+    /// Records the key a reply served the session's cloud under.
+    pub fn learn(&mut self, key: CloudKey) {
+        self.key = Some(key);
     }
 }
 
@@ -167,26 +203,21 @@ fn outcome_name(o: CacheOutcome) -> &'static str {
     }
 }
 
-/// Content check over an edge list: FNV-1a across `(u, v, weight_sq)` in
-/// index order. Lets a client (and the bit-identity tests) compare trees
-/// across transports without shipping every edge.
+/// Content check over an edge list: FNV-1a across the little-endian
+/// `(u, v, weight_sq)` bytes in index order. Lets a client (and the
+/// bit-identity tests) compare trees across transports without shipping
+/// every edge.
 fn edges_check(edges: &[Edge]) -> u64 {
-    let mut bytes = Vec::with_capacity(edges.len() * 12);
-    for e in edges {
-        bytes.extend_from_slice(&e.u.to_le_bytes());
-        bytes.extend_from_slice(&e.v.to_le_bytes());
-        bytes.extend_from_slice(&e.weight_sq.to_bits().to_le_bytes());
-    }
-    fnv1a_64(&bytes)
+    edges.iter().fold(FNV1A_64_START, |h, e| {
+        let h = fnv1a_64_extend(h, &e.u.to_le_bytes());
+        let h = fnv1a_64_extend(h, &e.v.to_le_bytes());
+        fnv1a_64_extend(h, &e.weight_sq.to_bits().to_le_bytes())
+    })
 }
 
 /// Content check over HDBSCAN labels (FNV-1a across the `i32` labels).
 fn labels_check(labels: &[i32]) -> u64 {
-    let mut bytes = Vec::with_capacity(labels.len() * 4);
-    for &l in labels {
-        bytes.extend_from_slice(&l.to_le_bytes());
-    }
-    fnv1a_64(&bytes)
+    labels.iter().fold(FNV1A_64_START, |h, l| fnv1a_64_extend(h, &l.to_le_bytes()))
 }
 
 /// Executes one request line against the engine and formats the wire
@@ -240,7 +271,7 @@ fn execute<S: ExecSpace, const D: usize>(
         let v = v.ok_or(format!("{what} is required"))?;
         v.parse().map_err(|_| format!("invalid {what} {v:?}"))
     };
-    let points = Arc::clone(&session.points);
+    let n = session.points.len();
     match cmd {
         "ping" => Ok(NetReply::ok("pong")),
         "quit" | "exit" => Ok(NetReply { text: "ok bye\n".to_string(), close: true }),
@@ -248,15 +279,15 @@ fn execute<S: ExecSpace, const D: usize>(
             if !rest.is_empty() {
                 return Err("emst takes no arguments over the wire".to_string());
             }
-            let req = ServeRequest::Emst { cloud: CloudRef::Points(points.as_slice()) };
+            let req = ServeRequest::Emst { cloud: session.cloud() };
             let r = match engine.execute(req).map_err(|e| e.to_string())? {
                 ServeResponse::Emst(r) => r,
                 other => unreachable!("emst request answered with {other:?}"),
             };
+            session.learn(r.key);
             Ok(NetReply::ok(format!(
-                "emst cache={} n={} edges={} weight={:.6} check={:016x}",
+                "emst cache={} n={n} edges={} weight={:.6} check={:016x}",
                 outcome_name(r.outcome),
-                points.len(),
                 r.edges.len(),
                 r.total_weight,
                 edges_check(&r.edges),
@@ -268,18 +299,16 @@ fn execute<S: ExecSpace, const D: usize>(
                 .split_once("..")
                 .and_then(|(a, b)| Some((a.parse::<u32>().ok()?, b.parse::<u32>().ok()?)))
                 .ok_or(format!("invalid subset range {range:?} (expected <lo>..<hi>)"))?;
-            if lo >= hi || hi as usize > points.len() {
-                return Err(format!("subset {lo}..{hi} out of range for {} points", points.len()));
+            if lo >= hi || hi as usize > n {
+                return Err(format!("subset {lo}..{hi} out of range for {n} points"));
             }
             let subset: Vec<u32> = (lo..hi).collect();
-            let req = ServeRequest::Subset {
-                cloud: CloudRef::Points(points.as_slice()),
-                subset: &subset,
-            };
+            let req = ServeRequest::Subset { cloud: session.cloud(), subset: &subset };
             let r = match engine.execute(req).map_err(|e| e.to_string())? {
                 ServeResponse::Subset(r) => r,
                 other => unreachable!("subset request answered with {other:?}"),
             };
+            session.learn(r.key);
             Ok(NetReply::ok(format!(
                 "subset cache={} m={} edges={} weight={:.6} check={:016x}",
                 outcome_name(r.outcome),
@@ -298,15 +327,13 @@ fn execute<S: ExecSpace, const D: usize>(
             for (c, v) in coords.iter_mut().zip(&rest[1..]) {
                 *c = v.parse().map_err(|_| format!("invalid coordinate {v:?}"))?;
             }
-            let req = ServeRequest::KNearest {
-                cloud: CloudRef::Points(points.as_slice()),
-                query: Point::new(coords),
-                k,
-            };
+            let req =
+                ServeRequest::KNearest { cloud: session.cloud(), query: Point::new(coords), k };
             let r = match engine.execute(req).map_err(|e| e.to_string())? {
                 ServeResponse::KNearest(r) => r,
                 other => unreachable!("knn request answered with {other:?}"),
             };
+            session.learn(r.key);
             let hits: Vec<String> =
                 r.neighbors.iter().map(|(i, d)| format!("{i}:{:.6}", d.sqrt())).collect();
             Ok(NetReply::ok(format!(
@@ -323,13 +350,14 @@ fn execute<S: ExecSpace, const D: usize>(
                 return Err("hdbscan needs k_pts >= 1 and min_cluster_size >= 2".into());
             }
             let req = ServeRequest::Hdbscan {
-                cloud: CloudRef::Points(points.as_slice()),
+                cloud: session.cloud(),
                 params: Hdbscan { k_pts, min_cluster_size },
             };
             let r = match engine.execute(req).map_err(|e| e.to_string())? {
                 ServeResponse::Hdbscan(r) => r,
                 other => unreachable!("hdbscan request answered with {other:?}"),
             };
+            session.learn(r.key);
             let noise = r.result.labels.iter().filter(|&&l| l == emst_hdbscan::NOISE).count();
             Ok(NetReply::ok(format!(
                 "hdbscan cache={} clusters={} noise={} check={:016x}",
@@ -351,14 +379,13 @@ fn execute<S: ExecSpace, const D: usize>(
                 }
                 added.push(Point::new(coords));
             }
-            let req =
-                ServeRequest::Insert { cloud: CloudRef::Points(points.as_slice()), points: &added };
+            let req = ServeRequest::Insert { cloud: session.cloud(), points: &added };
             let m = match engine.execute(req).map_err(|e| e.to_string())? {
                 ServeResponse::Mutated(m) => m,
                 other => unreachable!("insert request answered with {other:?}"),
             };
             let reply = mutation_reply("insert", &m);
-            session.points = Arc::new(m.points);
+            *session = NetSession::with_key(Arc::new(m.points), m.key);
             Ok(reply)
         }
         "delete" => {
@@ -369,14 +396,13 @@ fn execute<S: ExecSpace, const D: usize>(
             for v in rest {
                 ids.push(v.parse::<u32>().map_err(|_| format!("invalid id {v:?}"))?);
             }
-            let req =
-                ServeRequest::Delete { cloud: CloudRef::Points(points.as_slice()), ids: &ids };
+            let req = ServeRequest::Delete { cloud: session.cloud(), ids: &ids };
             let m = match engine.execute(req).map_err(|e| e.to_string())? {
                 ServeResponse::Mutated(m) => m,
                 other => unreachable!("delete request answered with {other:?}"),
             };
             let reply = mutation_reply("delete", &m);
-            session.points = Arc::new(m.points);
+            *session = NetSession::with_key(Arc::new(m.points), m.key);
             Ok(reply)
         }
         "load" => {
@@ -400,8 +426,9 @@ fn execute<S: ExecSpace, const D: usize>(
                 ServeResponse::Loaded { key } => key,
                 other => unreachable!("load request answered with {other:?}"),
             };
-            session.points = Arc::new(new_points);
-            Ok(NetReply::ok(format!("loaded n={} key={key}", session.points.len())))
+            let reply = NetReply::ok(format!("loaded n={} key={key}", new_points.len()));
+            *session = NetSession::with_key(Arc::new(new_points), key);
+            Ok(reply)
         }
         "stats" => {
             let s = match engine.execute(ServeRequest::Stats).map_err(|e| e.to_string())? {
@@ -812,7 +839,10 @@ fn respond_coalesced<S: ExecSpace, const D: usize>(
         Some(verb) if coalescable(verb) => {}
         _ => return respond(shared.engine.as_ref(), session, line),
     }
-    let key: FlightKey = (shared.engine.key(&session.points), tokens.join(" "));
+    // Only a session's first request digests its cloud; later ones reuse
+    // the key a reply taught it.
+    let cloud = session.key().unwrap_or_else(|| shared.engine.key(&session.points));
+    let key: FlightKey = (cloud, tokens.join(" "));
     enum Role<'a> {
         Leader(FlightLease<'a>),
         Follower(Arc<QueryFlight>),
@@ -850,6 +880,7 @@ fn respond_coalesced<S: ExecSpace, const D: usize>(
 mod tests {
     use super::*;
     use crate::ServeConfig;
+    use emst_datasets::io::fnv1a_64;
     use emst_datasets::{generate_2d, DatasetSpec};
     use emst_exec::Serial;
 
@@ -962,6 +993,34 @@ mod tests {
         let mut src: &[u8] = &big;
         buf.clear();
         assert!(matches!(next_line(&mut src, &mut buf, &quiet).unwrap(), ReadEvent::TooLong));
+    }
+
+    /// The Vec-building formulas the in-place checks replaced.
+    fn edges_check_by_copy(edges: &[Edge]) -> u64 {
+        let mut bytes = Vec::with_capacity(edges.len() * 12);
+        for e in edges {
+            bytes.extend_from_slice(&e.u.to_le_bytes());
+            bytes.extend_from_slice(&e.v.to_le_bytes());
+            bytes.extend_from_slice(&e.weight_sq.to_bits().to_le_bytes());
+        }
+        fnv1a_64(&bytes)
+    }
+
+    fn labels_check_by_copy(labels: &[i32]) -> u64 {
+        fnv1a_64(&labels.iter().flat_map(|l| l.to_le_bytes()).collect::<Vec<u8>>())
+    }
+
+    #[test]
+    fn in_place_checks_equal_the_copying_formulas() {
+        let tree = [Edge::new(0, 1, 0.25), Edge::new(3, 1, 1.5), Edge::new(2, 4, 0.0)];
+        assert_eq!(edges_check(&tree), edges_check_by_copy(&tree));
+        assert_eq!(edges_check(&tree), 0xdd689362d99dc38f, "check= of a fixed tree moved");
+        assert_eq!(edges_check(&[]), edges_check_by_copy(&[]));
+        let (engine, pts) = engine();
+        let served = engine.emst(&pts).edges;
+        assert_eq!(edges_check(&served), edges_check_by_copy(&served));
+        let labels = [-1, 0, 3, 2, -1, 7];
+        assert_eq!(labels_check(&labels), labels_check_by_copy(&labels));
     }
 
     #[test]

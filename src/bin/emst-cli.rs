@@ -48,6 +48,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
+use std::sync::Arc;
 
 use emst::core::{EmstConfig, SingleTreeBoruvka, Traversal};
 use emst::datasets::{self, Kind};
@@ -56,7 +57,7 @@ use emst::geometry::Point;
 use emst::hdbscan::Hdbscan;
 use emst::serve::fault::{faulted_read, faulted_write};
 use emst::serve::{
-    CacheOutcome, CloudRef, FaultPlan, FaultSite, MutateResponse, NetConfig, ServeConfig,
+    CacheOutcome, FaultPlan, FaultSite, MutateResponse, NetConfig, NetSession, ServeConfig,
     ServeEngine, ServeRequest, ServeResponse, ServeServer,
 };
 use emst::shard::{emst_sharded_csv, emst_sharded_with, ShardConfig, ShardStats, StreamConfig};
@@ -382,7 +383,7 @@ fn run_serve<const D: usize>(opts: &HashMap<String, String>) -> Result<(), Strin
     let max_in_flight: usize = parse_opt(opts, "max-in-flight", 0)?;
     let fault_plan = match opts.get("fault-plan") {
         None => None,
-        Some(spec) => Some(std::sync::Arc::new(
+        Some(spec) => Some(Arc::new(
             FaultPlan::parse(spec).map_err(|e| format!("invalid --fault-plan: {e}"))?,
         )),
     };
@@ -458,16 +459,11 @@ fn serve_entry<S: ExecSpace + Send + Sync + 'static, const D: usize>(
             session.plan,
         );
     };
-    let engine = std::sync::Arc::new(ServeEngine::<S, D>::new(space, config));
-    let cloud = std::sync::Arc::new(points);
+    let engine = Arc::new(ServeEngine::<S, D>::new(space, config));
+    let cloud = Arc::new(points);
     let key = engine.ingest(&cloud);
-    let server = ServeServer::bind(
-        std::sync::Arc::clone(&engine),
-        std::sync::Arc::clone(&cloud),
-        addr,
-        session.net,
-    )
-    .map_err(|e| format!("--listen {addr}: {e}"))?;
+    let server = ServeServer::bind(Arc::clone(&engine), Arc::clone(&cloud), addr, session.net)
+        .map_err(|e| format!("--listen {addr}: {e}"))?;
     // The bound address goes to stdout so scripts driving `--listen
     // 127.0.0.1:0` can discover the ephemeral port.
     println!("listening {}", server.local_addr());
@@ -482,7 +478,8 @@ fn serve_entry<S: ExecSpace + Send + Sync + 'static, const D: usize>(
             ("max_pending", &session.net.max_pending.to_string()),
         ],
     );
-    let result = serve_sequential(&engine, cloud.as_ref().clone(), session.metrics, session.plan);
+    let repl = NetSession::with_key(Arc::clone(&cloud), key);
+    let result = serve_sequential(&engine, repl, session.metrics, session.plan);
     server.shutdown();
     if let Some(path) = session.metrics {
         write_metrics_file(&engine, path, session.plan);
@@ -541,10 +538,11 @@ fn serve_repl<S: ExecSpace, const D: usize>(
             ("workers", &workers.to_string()),
         ],
     );
+    let session = NetSession::with_key(Arc::new(points), key);
     let result = if workers == 1 {
-        serve_sequential(engine, points, metrics_file, plan)
+        serve_sequential(engine, session, metrics_file, plan)
     } else {
-        serve_pool(engine, points, workers, plan)
+        serve_pool(engine, session, workers, plan)
     };
     if let Some(path) = metrics_file {
         write_metrics_file(engine, path, plan);
@@ -553,12 +551,12 @@ fn serve_repl<S: ExecSpace, const D: usize>(
 }
 
 /// Loads a new cloud for the REPL's `load` command; returns the response
-/// line and the points the session serves from now on.
+/// line and the session (cloud and key) to serve from now on.
 fn load_cloud<S: ExecSpace, const D: usize>(
     engine: &ServeEngine<S, D>,
     rest: &[&str],
     plan: Option<&FaultPlan>,
-) -> Result<(String, Vec<Point<D>>), String> {
+) -> Result<(String, NetSession<D>), String> {
     let path = rest.first().ok_or("load needs a path")?;
     let points = load_points_from::<D>(path, plan)?;
     let key = match engine.execute(ServeRequest::Load { points: &points }) {
@@ -566,20 +564,23 @@ fn load_cloud<S: ExecSpace, const D: usize>(
         Ok(other) => unreachable!("load request answered with {other:?}"),
         Err(e) => return Err(e.to_string()),
     };
-    Ok((format!("loaded n={} key={key}", points.len()), points))
+    Ok((
+        format!("loaded n={} key={key}", points.len()),
+        NetSession::with_key(Arc::new(points), key),
+    ))
 }
 
 /// Executes the REPL's `insert`/`delete` commands: parses the arguments,
 /// runs the engine's incremental delta-solve through
 /// [`ServeEngine::execute`], and returns the response line plus the
-/// mutated cloud the session serves from now on. Like `load`, the
-/// dispatching loops swap the session cloud on success.
+/// session (mutated cloud and its key) to serve from now on. Like `load`,
+/// the dispatching loops swap the session on success.
 fn mutate_cloud<S: ExecSpace, const D: usize>(
     engine: &ServeEngine<S, D>,
-    points: &[Point<D>],
+    session: &NetSession<D>,
     cmd: &str,
     rest: &[&str],
-) -> Result<(String, Vec<Point<D>>), String> {
+) -> Result<(String, NetSession<D>), String> {
     let m: MutateResponse<D> = if cmd == "insert" {
         if rest.is_empty() || !rest.len().is_multiple_of(D) {
             return Err(format!("insert needs coordinates in groups of {D}"));
@@ -592,7 +593,7 @@ fn mutate_cloud<S: ExecSpace, const D: usize>(
             }
             added.push(Point::new(coords));
         }
-        let req = ServeRequest::Insert { cloud: CloudRef::Points(points), points: &added };
+        let req = ServeRequest::Insert { cloud: session.cloud(), points: &added };
         match engine.execute(req).map_err(|e| e.to_string())? {
             ServeResponse::Mutated(m) => m,
             other => unreachable!("insert request answered with {other:?}"),
@@ -605,7 +606,7 @@ fn mutate_cloud<S: ExecSpace, const D: usize>(
         for v in rest {
             ids.push(v.parse::<u32>().map_err(|_| format!("invalid id {v:?}"))?);
         }
-        let req = ServeRequest::Delete { cloud: CloudRef::Points(points), ids: &ids };
+        let req = ServeRequest::Delete { cloud: session.cloud(), ids: &ids };
         match engine.execute(req).map_err(|e| e.to_string())? {
             ServeResponse::Mutated(m) => m,
             other => unreachable!("delete request answered with {other:?}"),
@@ -621,14 +622,14 @@ fn mutate_cloud<S: ExecSpace, const D: usize>(
         m.update.total_weight,
         m.update.timings.get("merge"),
     );
-    Ok((line, m.points))
+    Ok((line, NetSession::with_key(Arc::new(m.points), m.key)))
 }
 
 /// The historical single-threaded REPL: one command, one response, in
 /// order, with no request-id prefix (`--workers 1`, the default).
 fn serve_sequential<S: ExecSpace, const D: usize>(
     engine: &ServeEngine<S, D>,
-    mut points: Vec<Point<D>>,
+    mut session: NetSession<D>,
     metrics_file: Option<&Path>,
     plan: Option<&FaultPlan>,
 ) -> Result<(), String> {
@@ -643,18 +644,17 @@ fn serve_sequential<S: ExecSpace, const D: usize>(
             Some(c) => c,
         };
         let rest: Vec<&str> = tok.collect();
-        let response = if cmd == "load" {
-            load_cloud(engine, &rest, plan).map(|(response, new_points)| {
-                points = new_points;
+        let swapped = match cmd {
+            "load" => Some(load_cloud(engine, &rest, plan)),
+            "insert" | "delete" => Some(mutate_cloud(engine, &session, cmd, &rest)),
+            _ => None,
+        };
+        let response = match swapped {
+            Some(result) => result.map(|(response, next)| {
+                session = next;
                 response
-            })
-        } else if cmd == "insert" || cmd == "delete" {
-            mutate_cloud(engine, &points, cmd, &rest).map(|(response, new_points)| {
-                points = new_points;
-                response
-            })
-        } else {
-            serve_command(engine, &points, cmd, &rest)
+            }),
+            None => serve_command(engine, &mut session, cmd, &rest),
         };
         match response {
             Ok(r) => println!("{r}"),
@@ -676,13 +676,13 @@ fn serve_sequential<S: ExecSpace, const D: usize>(
 /// they were issued under, then the session swaps onto the new cloud.
 fn serve_pool<S: ExecSpace, const D: usize>(
     engine: &ServeEngine<S, D>,
-    points: Vec<Point<D>>,
+    session: NetSession<D>,
     workers: usize,
     plan: Option<&FaultPlan>,
 ) -> Result<(), String> {
     use std::collections::VecDeque;
     use std::io::BufRead;
-    use std::sync::{Arc, Condvar, Mutex, RwLock};
+    use std::sync::{Condvar, Mutex, RwLock};
 
     struct PoolState {
         queue: VecDeque<(u64, String, Vec<String>)>,
@@ -705,7 +705,7 @@ fn serve_pool<S: ExecSpace, const D: usize>(
         }
     }
 
-    let cloud = RwLock::new(Arc::new(points));
+    let cloud = RwLock::new(session);
     let pool = Pool {
         state: Mutex::new(PoolState { queue: VecDeque::new(), closed: false, in_flight: 0 }),
         work_cv: Condvar::new(),
@@ -730,11 +730,13 @@ fn serve_pool<S: ExecSpace, const D: usize>(
                     }
                 };
                 let Some((id, cmd, rest)) = job else { return };
-                // Snapshot the cloud the request was queued under; a later
-                // `load` swaps the Arc without touching this query.
-                let pts = Arc::clone(&cloud.read().unwrap());
+                // Snapshot the session the request was queued under; a later
+                // `load` swaps it without touching this query. Nothing is
+                // written back: the shared session already holds its key,
+                // from the start-up ingest or the reply that swapped it.
+                let mut snap = cloud.read().unwrap().clone();
                 let rest: Vec<&str> = rest.iter().map(String::as_str).collect();
-                match serve_command(engine, &pts, &cmd, &rest) {
+                match serve_command(engine, &mut snap, &cmd, &rest) {
                     Ok(r) => println!("[{id}] {r}"),
                     Err(e) => println!("[{id}] error: {e}"),
                 }
@@ -770,12 +772,12 @@ fn serve_pool<S: ExecSpace, const D: usize>(
                 let result = if cmd == "load" {
                     load_cloud(engine, &rest, plan)
                 } else {
-                    let pts = Arc::clone(&cloud.read().unwrap());
-                    mutate_cloud(engine, &pts, cmd, &rest)
+                    let current = cloud.read().unwrap().clone();
+                    mutate_cloud(engine, &current, cmd, &rest)
                 };
                 match result {
-                    Ok((r, new_points)) => {
-                        *cloud.write().unwrap() = Arc::new(new_points);
+                    Ok((r, next)) => {
+                        *cloud.write().unwrap() = next;
                         println!("[{id}] {r}");
                     }
                     Err(e) => println!("[{id}] error: {e}"),
@@ -815,28 +817,29 @@ fn outcome_name(o: CacheOutcome) -> &'static str {
 /// keeps going.
 fn serve_command<S: ExecSpace, const D: usize>(
     engine: &ServeEngine<S, D>,
-    points: &[Point<D>],
+    session: &mut NetSession<D>,
     cmd: &str,
     rest: &[&str],
 ) -> Result<String, String> {
+    let n = session.points().len();
     let parse = |what: &str, v: Option<&&str>| -> Result<usize, String> {
         let v = v.ok_or(format!("{what} is required"))?;
         v.parse().map_err(|_| format!("invalid {what} {v:?}"))
     };
     match cmd {
         "emst" => {
-            let req = ServeRequest::Emst { cloud: CloudRef::Points(points) };
+            let req = ServeRequest::Emst { cloud: session.cloud() };
             let r = match engine.execute(req).map_err(|e| e.to_string())? {
                 ServeResponse::Emst(r) => r,
                 other => unreachable!("emst request answered with {other:?}"),
             };
+            session.learn(r.key);
             if let Some(path) = rest.first() {
                 write_edges(Path::new(path), &r.edges)?;
             }
             Ok(format!(
-                "emst cache={} n={} edges={} weight={:.6} build={:.3}s merge={:.3}s queries={}",
+                "emst cache={} n={n} edges={} weight={:.6} build={:.3}s merge={:.3}s queries={}",
                 outcome_name(r.outcome),
-                points.len(),
                 r.edges.len(),
                 r.total_weight,
                 r.timings.get("plan") + r.timings.get("local"),
@@ -850,15 +853,16 @@ fn serve_command<S: ExecSpace, const D: usize>(
                 .split_once("..")
                 .and_then(|(a, b)| Some((a.parse::<u32>().ok()?, b.parse::<u32>().ok()?)))
                 .ok_or(format!("invalid subset range {range:?} (expected <lo>..<hi>)"))?;
-            if lo >= hi || hi as usize > points.len() {
-                return Err(format!("subset {lo}..{hi} out of range for {} points", points.len()));
+            if lo >= hi || hi as usize > n {
+                return Err(format!("subset {lo}..{hi} out of range for {n} points"));
             }
             let subset: Vec<u32> = (lo..hi).collect();
-            let req = ServeRequest::Subset { cloud: CloudRef::Points(points), subset: &subset };
+            let req = ServeRequest::Subset { cloud: session.cloud(), subset: &subset };
             let r = match engine.execute(req).map_err(|e| e.to_string())? {
                 ServeResponse::Subset(r) => r,
                 other => unreachable!("subset request answered with {other:?}"),
             };
+            session.learn(r.key);
             Ok(format!(
                 "subset cache={} m={} edges={} weight={:.6} local={:.3}s merge={:.3}s",
                 outcome_name(r.outcome),
@@ -878,15 +882,13 @@ fn serve_command<S: ExecSpace, const D: usize>(
             for (c, v) in coords.iter_mut().zip(&rest[1..]) {
                 *c = v.parse().map_err(|_| format!("invalid coordinate {v:?}"))?;
             }
-            let req = ServeRequest::KNearest {
-                cloud: CloudRef::Points(points),
-                query: Point::new(coords),
-                k,
-            };
+            let req =
+                ServeRequest::KNearest { cloud: session.cloud(), query: Point::new(coords), k };
             let r = match engine.execute(req).map_err(|e| e.to_string())? {
                 ServeResponse::KNearest(r) => r,
                 other => unreachable!("knn request answered with {other:?}"),
             };
+            session.learn(r.key);
             let hits: Vec<String> =
                 r.neighbors.iter().map(|(i, d)| format!("{i}:{:.6}", d.sqrt())).collect();
             Ok(format!("knn cache={} {}", outcome_name(r.outcome), hits.join(" ")))
@@ -898,13 +900,14 @@ fn serve_command<S: ExecSpace, const D: usize>(
                 return Err("hdbscan needs k_pts >= 1 and min_cluster_size >= 2".into());
             }
             let req = ServeRequest::Hdbscan {
-                cloud: CloudRef::Points(points),
+                cloud: session.cloud(),
                 params: Hdbscan { k_pts, min_cluster_size },
             };
             let r = match engine.execute(req).map_err(|e| e.to_string())? {
                 ServeResponse::Hdbscan(r) => r,
                 other => unreachable!("hdbscan request answered with {other:?}"),
             };
+            session.learn(r.key);
             let noise = r.result.labels.iter().filter(|&&l| l == emst::hdbscan::NOISE).count();
             Ok(format!(
                 "hdbscan cache={} clusters={} noise={}",

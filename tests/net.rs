@@ -320,6 +320,128 @@ fn mutation_verbs_on_the_wire_match_the_oracle_bit_for_bit() {
     assert_eq!(got2, expected_fresh, "sessions must not leak mutations across connections");
 }
 
+/// One request line over an open connection, returning its reply line.
+fn ask(reader: &mut BufReader<TcpStream>, line: &str) -> String {
+    reader.get_mut().write_all(format!("{line}\n").as_bytes()).unwrap();
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    reply
+}
+
+fn open(server: &Server) -> BufReader<TcpStream> {
+    BufReader::new(connect(server))
+}
+
+/// Whether the engine's newest trace recorded a `digest` span.
+fn newest_digests(engine: &Engine) -> bool {
+    engine.recent_traces(1).pop().expect("trace recorded").spans.iter().any(|s| s.name == "digest")
+}
+
+/// A session pays for its cloud's identity once: the first read digests
+/// the cloud, every later warm read resolves by the key a reply taught
+/// it — no `digest` span — and still matches the oracle bytes.
+#[test]
+fn sessions_digest_their_cloud_only_on_first_contact() {
+    let pts = cloud(400, 37);
+    let server = server(&pts, NetConfig { workers: 2, max_pending: 8 });
+    const SCRIPT: [&str; 5] = ["knn 3 0.5 0.5", "emst", "subset 10..50", "knn 4 0.2 0.7", "emst"];
+    let expected: Vec<String> =
+        oracle_replies(&engine(&pts), &pts, &SCRIPT).lines().map(|l| format!("{l}\n")).collect();
+    let mut c = open(&server);
+    for (i, line) in SCRIPT.iter().enumerate() {
+        assert_eq!(ask(&mut c, line), expected[i], "{line}");
+        assert_eq!(newest_digests(server.engine()), i == 0, "request {i} ({line})");
+    }
+}
+
+/// `insert`, `delete` and `load` replies name the session's new cloud, so
+/// the next read resolves it by key without digesting.
+#[test]
+fn mutations_and_loads_teach_the_session_its_new_key() {
+    let pts = cloud(300, 39);
+    let engine = engine(&pts);
+    let dir = std::env::temp_dir().join(format!("emst_net_load_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let csv = dir.join("other.csv");
+    emst::datasets::io::save_csv(&csv, &cloud(250, 40)).unwrap();
+
+    let mut session = NetSession::new(Arc::clone(&pts));
+    let load = format!("load {}", csv.display());
+    for (change, read) in [
+        ("insert 0.31 0.64 0.22 0.18", "knn 3 0.5 0.5"),
+        ("delete 0 7 150", "emst"),
+        (load.as_str(), "subset 0..40"),
+    ] {
+        let reply = respond(&engine, &mut session, change);
+        assert!(reply.text.starts_with("ok "), "{change}: {}", reply.text);
+        let key = session.key().expect("the reply taught the session its key");
+        assert!(reply.text.contains(&format!("key={key}")), "{}", reply.text);
+        assert!(respond(&engine, &mut session, read).text.starts_with("ok "));
+        assert!(!newest_digests(&engine), "{read} after {change} digested its cloud");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A session whose cloud was evicted resolves it exactly as a fresh
+/// session would: the learned key is not resident, so the request takes
+/// the digest path (rebuilding from the session's points, with or without
+/// the spill file on disk) and its bytes equal a fresh session's reply on
+/// a twin engine put through the same steps.
+#[test]
+fn evicted_session_clouds_resolve_exactly_as_a_fresh_session_would() {
+    let pts = cloud(300, 43);
+    let spill_root = std::env::temp_dir().join(format!("emst_net_evict_{}", std::process::id()));
+    let engine_in = |name: &str| {
+        let mut cfg = ServeConfig::new(4, 1);
+        let dir = spill_root.join(name);
+        std::fs::create_dir_all(&dir).unwrap();
+        cfg.spill_dir = Some(dir);
+        let engine = Arc::new(Engine::new(Serial, cfg));
+        engine.ingest(&pts);
+        engine
+    };
+    let clear_spills = |name: &str| {
+        for f in std::fs::read_dir(spill_root.join(name)).unwrap() {
+            std::fs::remove_file(f.unwrap().path()).unwrap();
+        }
+    };
+    let server = ServeServer::bind(
+        engine_in("served"),
+        Arc::clone(&pts),
+        "127.0.0.1:0",
+        NetConfig::default(),
+    )
+    .unwrap();
+    let twin = engine_in("twin");
+    let mut twin_other = NetSession::new(Arc::clone(&pts));
+
+    // The held session learns its key, then another session's insert
+    // evicts that cloud (budget 1) to its spill file.
+    let mut held = open(&server);
+    let mut other = open(&server);
+    assert_eq!(
+        ask(&mut held, "emst"),
+        respond(&twin, &mut NetSession::new(Arc::clone(&pts)), "emst").text
+    );
+    for (step, line) in [("spilled", "knn 3 0.5 0.5"), ("spill removed", "emst")] {
+        let insert = "insert 0.5 0.5";
+        assert_eq!(ask(&mut other, insert), respond(&twin, &mut twin_other, insert).text);
+        assert_eq!(server.engine().num_resident(), 1);
+        if step == "spill removed" {
+            clear_spills("served");
+            clear_spills("twin");
+        }
+        let fresh = respond(&twin, &mut NetSession::new(Arc::clone(&pts)), line).text;
+        assert!(fresh.contains("cache=miss"), "{step}: {fresh}");
+        assert_eq!(ask(&mut held, line), fresh, "{step}: held session diverged");
+        // Resident again, and the session still knows it without digesting.
+        assert!(ask(&mut held, line).contains("cache=hit"));
+        assert!(!newest_digests(server.engine()), "{step}");
+    }
+    drop(server);
+    std::fs::remove_dir_all(&spill_root).ok();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

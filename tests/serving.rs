@@ -15,7 +15,10 @@ use emst::datasets::{generate_2d, DatasetSpec, Kind};
 use emst::exec::{ExecSpace, GpuSim, Serial, Threads};
 use emst::geometry::Point;
 use emst::hdbscan::Hdbscan;
-use emst::serve::{CacheOutcome, FaultPlan, ServeConfig, ServeEngine, ServeError};
+use emst::serve::{
+    CacheOutcome, CloudRef, FaultPlan, ServeConfig, ServeEngine, ServeError, ServeRequest,
+    ServeResponse, ServeStats,
+};
 use emst::shard::{emst_sharded_with, ShardConfig};
 use proptest::prelude::*;
 
@@ -461,4 +464,72 @@ fn stalled_incremental_update_honors_the_deadline() {
     }
     assert!(engine.stats().deadline_exceeded > before, "the miss must be counted");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Span names of the engine's newest trace.
+fn newest_spans<S: ExecSpace>(engine: &ServeEngine<S, 2>) -> Vec<&'static str> {
+    engine.recent_traces(1).pop().expect("trace recorded").spans.iter().map(|s| s.name).collect()
+}
+
+/// A cloud named by a learned key resolves without digesting: the hit is
+/// found by exact key, verified against the stored points, and answers
+/// bit-identically to the digest path.
+#[test]
+fn known_key_hits_verify_without_digesting() {
+    let pts = cloud(500, 41);
+    let engine = ServeEngine::<_, 2>::new(Serial, ServeConfig::new(4, 2));
+    let cold = engine.try_emst(&pts).unwrap();
+    let known = CloudRef::Known { key: cold.key, points: &pts };
+    let warm = match engine.execute(ServeRequest::Emst { cloud: known }).unwrap() {
+        ServeResponse::Emst(r) => r,
+        other => panic!("emst answered with {other:?}"),
+    };
+    assert_eq!(warm.outcome, CacheOutcome::Hit);
+    assert_eq!((warm.key, &warm.edges), (cold.key, &cold.edges));
+    let spans = newest_spans(&engine);
+    assert!(!spans.contains(&"digest"), "a known-key hit must not digest: {spans:?}");
+    assert!(spans.contains(&"verify"), "the content check is traced: {spans:?}");
+    let knn = match engine
+        .execute(ServeRequest::KNearest { cloud: known, query: Point::new([0.5, 0.5]), k: 4 })
+        .unwrap()
+    {
+        ServeResponse::KNearest(r) => r,
+        other => panic!("knn answered with {other:?}"),
+    };
+    assert_eq!(knn.neighbors, engine.k_nearest(&pts, &Point::new([0.5, 0.5]), 4).neighbors);
+    assert_eq!(engine.stats(), ServeStats { hits: 3, misses: 1, ..Default::default() });
+}
+
+/// A learned key that does not name these points — another cloud's key,
+/// or a key whose cloud was evicted — resolves exactly as the digest path
+/// does: same outcome, same key, same edges, same counters.
+#[test]
+fn known_key_mismatch_and_eviction_fall_back_to_the_points_path() {
+    let (a, b) = (cloud(300, 42), cloud(300, 43));
+    let run = |known: bool| {
+        let engine = ServeEngine::<_, 2>::new(Serial, ServeConfig::new(4, 1));
+        let key_a = engine.try_emst(&a).unwrap().key;
+        // `a`'s key with `b`'s points: the content check fails.
+        let other = match known {
+            true => CloudRef::Known { key: key_a, points: &b },
+            false => CloudRef::Points(&b),
+        };
+        let rb = match engine.execute(ServeRequest::Emst { cloud: other }).unwrap() {
+            ServeResponse::Emst(r) => r,
+            resp => panic!("emst answered with {resp:?}"),
+        };
+        // Admitting `b` evicted `a` (budget 1): its key is no longer resident.
+        let evicted = match known {
+            true => CloudRef::Known { key: key_a, points: &a },
+            false => CloudRef::Points(&a),
+        };
+        let ra = match engine.execute(ServeRequest::Emst { cloud: evicted }).unwrap() {
+            ServeResponse::Emst(r) => r,
+            resp => panic!("emst answered with {resp:?}"),
+        };
+        ((rb.outcome, rb.key, rb.edges), (ra.outcome, ra.key, ra.edges), engine.stats())
+    };
+    let (by_key, by_points) = (run(true), run(false));
+    assert_eq!(by_key, by_points);
+    assert_eq!((by_key.1).0, CacheOutcome::Miss, "the evicted cloud is rebuilt");
 }
