@@ -36,7 +36,8 @@
 //! - the **fault-tolerance reload ablation**: median reload time of an
 //!   evicted cloud on two otherwise-identical engines, one spilling
 //!   durable artifacts next to the points (`spill_artifacts = true`, the
-//!   default — reload is a checksum-verified read plus deserialize) and
+//!   default — reload is a checksum-verified read plus a restore that
+//!   rebuilds only the per-shard BVHs) and
 //!   one spilling points only (`spill_artifacts = false` — reload re-runs
 //!   the deterministic plan + local solves). Both answers are asserted
 //!   bit-identical to the resident reference, the restoring engine's
@@ -156,7 +157,7 @@
 //! - `fault_tolerance[]` — artifact-restore-vs-rebuild reload cells
 //!   (added by PR 8, additive): `generator`, `n`, `shards`,
 //!   `restore_reload_s` (median reload of an evicted cloud from a spill
-//!   carrying durable artifacts — verified read + deserialize),
+//!   carrying durable artifacts — verified read + restore),
 //!   `rebuild_reload_s` (same reload with points-only spills —
 //!   deterministic plan + local solves re-run), `restore_speedup` =
 //!   `rebuild_reload_s / restore_reload_s`.
@@ -317,7 +318,7 @@ impl ObservabilityCell {
 
 /// One `(generator, n, shards)` cell of the fault-tolerance reload
 /// ablation: median reload of an evicted cloud from an artifact-bearing
-/// spill (verified read + deserialize) vs a points-only spill
+/// spill (verified read + restore) vs a points-only spill
 /// (deterministic rebuild), on otherwise-identical engines with no
 /// faults injected.
 #[derive(Clone, Debug)]
@@ -664,7 +665,7 @@ pub fn measure_observability(
 /// by querying a decoy through the single residency slot, then times the
 /// by-key reload. Panics if any reloaded answer is not bit-identical to
 /// the reference, if the restoring engine reports build work (it must
-/// deserialize, not rebuild), or if the rebuilding engine reports none —
+/// restore, not re-solve), or if the rebuilding engine reports none —
 /// a mislabeled path would make the speedup meaningless.
 pub fn measure_fault_tolerance(
     generator: &str,

@@ -42,7 +42,7 @@ use crate::wide::WideBvh;
 /// allocations. Construction also collapses the binary hierarchy into the
 /// 4-wide rope-linked [`WideBvh`] that backs the default stackless
 /// traversal ([`Bvh::nearest_stackless`]).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Bvh<const D: usize> {
     pub(crate) layout: Layout,
     pub(crate) scene: Aabb<D>,
@@ -402,8 +402,8 @@ impl<const D: usize> Bvh<D> {
     /// rebuilding from the same points yields byte-identical storage on any
     /// backend (sorting ties break by index, the radix hierarchy is unique
     /// for a code sequence, and [`WideBvh::collapse`] is serial preorder).
-    /// A cache can therefore persist just the points — e.g. the sharded
-    /// spill-file format — and reload the handle exactly, instead of
+    /// A cache can therefore persist just the points — as the serving
+    /// layer's spill files do — and rebuild the handle exactly, instead of
     /// serializing node arrays.
     pub fn resident_bytes(&self) -> usize {
         self.leaf_points.len() * std::mem::size_of::<Point<D>>()
@@ -586,6 +586,10 @@ mod tests {
         assert_eq!(a.morton_order(), c.morton_order());
         assert_eq!(a.root(), b.root());
         assert_eq!(a.parents(), c.parents());
+        // The whole storage agrees, wide collapse included: a rebuild on
+        // any backend restores a hierarchy exactly.
+        assert_eq!(a, b);
+        assert_eq!(a, c);
         a.validate().unwrap();
         b.validate().unwrap();
         c.validate().unwrap();

@@ -17,7 +17,7 @@ pub type NodeId = u32;
 pub const INVALID_NODE: NodeId = u32::MAX;
 
 /// Compile-time-ish helpers tying ids, ranks and leaf counts together.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Layout {
     /// Number of leaves (== number of points).
     pub n: usize,

@@ -147,10 +147,10 @@ pub fn read_points_chunked<const D: usize>(
 // Checksummed binary blobs
 // ---------------------------------------------------------------------------
 //
-// The serving layer's durable spill format and the shard-artifact blob are
-// both built from the same primitive: a magic header followed by tagged
+// The serving layer's durable spill format, shard-artifact sections
+// included, is built from one primitive: a magic header followed by tagged
 // sections, each carrying its own FNV-1a checksum so corruption is localized
-// (a flipped bit in the artifact section must not poison the verified point
+// (a flipped bit in an artifact section must not poison the verified point
 // bytes next to it). These helpers are deliberately storage-agnostic — they
 // build and parse in-memory byte vectors; durability policy (retry, backoff,
 // relocation, fault injection) lives with the caller.
@@ -172,17 +172,13 @@ pub fn fnv1a_64_extend(h: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100000001b3))
 }
 
-/// Little-endian primitive encoder for blob payloads.
-#[derive(Default)]
+/// Little-endian primitive encoder for blob payloads, handed out by
+/// [`BlobWriter::section_with`].
 pub struct ByteWriter {
     buf: Vec<u8>,
 }
 
 impl ByteWriter {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -197,10 +193,6 @@ impl ByteWriter {
 
     pub fn bytes(&mut self, b: &[u8]) {
         self.buf.extend_from_slice(b);
-    }
-
-    pub fn into_vec(self) -> Vec<u8> {
-        self.buf
     }
 }
 
@@ -273,14 +265,41 @@ pub struct BlobWriter {
 
 impl BlobWriter {
     pub fn new(magic: &[u8; 8]) -> Self {
-        Self { buf: magic.to_vec() }
+        Self::with_capacity(magic, 8)
+    }
+
+    /// A writer whose buffer holds `capacity` bytes (magic included)
+    /// before it reallocates — pre-size with [`Self::section_len`] so a
+    /// large blob is written in one allocation.
+    pub fn with_capacity(magic: &[u8; 8], capacity: usize) -> Self {
+        let mut buf = Vec::with_capacity(capacity.max(8));
+        buf.extend_from_slice(magic);
+        Self { buf }
+    }
+
+    /// Framed size of a section carrying `payload_len` payload bytes.
+    pub const fn section_len(payload_len: usize) -> usize {
+        4 + 8 + payload_len + 8
     }
 
     pub fn section(&mut self, tag: &[u8; 4], payload: &[u8]) {
+        self.section_with(tag, |w| w.bytes(payload));
+    }
+
+    /// Appends a section whose payload `fill` encodes straight into the
+    /// blob's buffer: no intermediate payload vector, and the checksum is
+    /// one pass over the bytes just written.
+    pub fn section_with(&mut self, tag: &[u8; 4], fill: impl FnOnce(&mut ByteWriter)) {
         self.buf.extend_from_slice(tag);
-        self.buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        self.buf.extend_from_slice(payload);
-        self.buf.extend_from_slice(&fnv1a_64(payload).to_le_bytes());
+        let len_at = self.buf.len();
+        self.buf.extend_from_slice(&[0; 8]);
+        let mut w = ByteWriter { buf: std::mem::take(&mut self.buf) };
+        fill(&mut w);
+        self.buf = w.buf;
+        let payload = &self.buf[len_at + 8..];
+        let (len, sum) = (payload.len() as u64, fnv1a_64(payload));
+        self.buf[len_at..len_at + 8].copy_from_slice(&len.to_le_bytes());
+        self.buf.extend_from_slice(&sum.to_le_bytes());
     }
 
     pub fn finish(self) -> Vec<u8> {
@@ -319,15 +338,6 @@ impl<'a> BlobReader<'a> {
             return Err(invalid("blob section checksum mismatch"));
         }
         Ok(payload)
-    }
-
-    /// Like [`BlobReader::section`] but returns `Ok(None)` when the blob ends
-    /// before another section starts — for trailing optional sections.
-    pub fn optional_section(&mut self, tag: &[u8; 4]) -> io::Result<Option<&'a [u8]>> {
-        if self.inner.remaining() == 0 {
-            return Ok(None);
-        }
-        self.section(tag).map(Some)
     }
 
     pub fn done(&self) -> io::Result<()> {
@@ -493,14 +503,16 @@ mod tests {
     #[test]
     fn blob_round_trips_and_detects_every_single_byte_flip() {
         const MAGIC: &[u8; 8] = b"EMSTTST1";
-        let mut w = ByteWriter::new();
-        w.u32(7);
-        w.u64(u64::MAX);
-        w.f32(-0.0);
-        let payload_a = w.into_vec();
+        let payload_a =
+            [&7u32.to_le_bytes()[..], &u64::MAX.to_le_bytes(), &(-0.0f32).to_bits().to_le_bytes()]
+                .concat();
         let payload_b = vec![0xAB; 33];
         let mut blob = BlobWriter::new(MAGIC);
-        blob.section(b"AAAA", &payload_a);
+        blob.section_with(b"AAAA", |w| {
+            w.u32(7);
+            w.u64(u64::MAX);
+            w.f32(-0.0);
+        });
         blob.section(b"BBBB", &payload_b);
         let bytes = blob.finish();
 
@@ -534,7 +546,25 @@ mod tests {
     }
 
     #[test]
-    fn blob_truncation_wrong_tag_and_optional_sections() {
+    fn in_place_sections_frame_exactly_like_copied_ones() {
+        const MAGIC: &[u8; 8] = b"EMSTTST3";
+        let mut copied = BlobWriter::new(MAGIC);
+        copied.section(b"AAAA", &[1, 0, 0, 0, 9]);
+        copied.section(b"EMPT", &[]);
+        let cap = 8 + BlobWriter::section_len(5) + BlobWriter::section_len(0);
+        let mut in_place = BlobWriter::with_capacity(MAGIC, cap);
+        in_place.section_with(b"AAAA", |w| {
+            w.u32(1);
+            w.bytes(&[9]);
+        });
+        in_place.section_with(b"EMPT", |_| {});
+        let bytes = in_place.finish();
+        assert_eq!(bytes, copied.finish());
+        assert_eq!(bytes.len(), cap);
+    }
+
+    #[test]
+    fn blob_truncation_and_wrong_tags_are_errors() {
         const MAGIC: &[u8; 8] = b"EMSTTST2";
         let mut blob = BlobWriter::new(MAGIC);
         blob.section(b"ONLY", b"hello");
@@ -548,18 +578,11 @@ mod tests {
         }
         let mut r = BlobReader::open(&bytes, MAGIC).unwrap();
         assert!(r.section(b"ELSE").is_err());
-        // Optional trailing section: absent → None, present → Some.
+        // Past the last section, reading another is an error.
         let mut r = BlobReader::open(&bytes, MAGIC).unwrap();
         r.section(b"ONLY").unwrap();
-        assert_eq!(r.optional_section(b"OPTL").unwrap(), None);
-        let mut blob = BlobWriter::new(MAGIC);
-        blob.section(b"ONLY", b"hello");
-        blob.section(b"OPTL", b"extra");
-        let bytes = blob.finish();
-        let mut r = BlobReader::open(&bytes, MAGIC).unwrap();
-        r.section(b"ONLY").unwrap();
-        assert_eq!(r.optional_section(b"OPTL").unwrap(), Some(&b"extra"[..]));
         r.done().unwrap();
+        assert!(r.section(b"NEXT").is_err());
     }
 
     #[test]

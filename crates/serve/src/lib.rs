@@ -149,6 +149,7 @@ use parking_lot::{Condvar, Mutex, RwLock};
 
 pub use fault::{FaultKind, FaultPlan, FaultSite};
 pub use net::{NetConfig, NetReply, NetSession, ServeServer};
+use spill::SpillOwner;
 pub use spill::{digest_points, CloudKey};
 
 /// Configuration of a serving engine.
@@ -1217,8 +1218,10 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
     /// original's spill file — which a later by-key reload would then pass
     /// off as the original (a true collision shares the digest, so the
     /// reload digest check cannot catch it). A spill whose contents equal
-    /// `points` is this cloud's own earlier eviction: its salt is reused.
-    /// Unreadable or corrupt spill files are conservatively skipped.
+    /// `points` is this cloud's own earlier eviction: its salt is reused —
+    /// also when that spill's points are damaged, as long as its header
+    /// still proves whose they were. Spill files whose owner cannot be
+    /// told (unreadable, or a damaged header) are conservatively skipped.
     fn durable_salt(&self, mut key: CloudKey, points: &[Point<D>]) -> CloudKey {
         // Bounded so a spill dir that errors on every open (not per-file
         // corruption — e.g. permissions) cannot loop forever; past the
@@ -1227,10 +1230,10 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
         // just as firmly as a primary one.
         'salts: for _ in 0..1024 {
             for dir in self.spill_dirs() {
-                match spill::read_spill::<D>(dir, key, self.fault_plan()) {
-                    Ok(None) => {}
-                    Ok(Some(existing)) if same_points(&existing.points, points) => return key,
-                    Ok(Some(_)) | Err(_) => {
+                match spill::probe_spill(dir, key, points, self.fault_plan()) {
+                    Ok(SpillOwner::Absent) => {}
+                    Ok(SpillOwner::Same) => return key,
+                    Ok(SpillOwner::Other) | Err(_) => {
                         key.salt += 1;
                         continue 'salts;
                     }
@@ -1255,12 +1258,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
     /// sleep) against the primary directory, then the same ladder against
     /// the fallback directory. Errs only when every attempt in every
     /// directory failed — the caller then counts the durability loss.
-    fn write_spill_durable(
-        &self,
-        key: CloudKey,
-        points: &[Point<D>],
-        artifacts: Option<&[u8]>,
-    ) -> std::io::Result<()> {
+    fn write_spill_durable(&self, key: CloudKey, image: &[u8]) -> std::io::Result<()> {
         let attempts = u64::from(self.config.spill_retries) + 1;
         let mut last_err = None;
         for (which, dir) in self.spill_dirs().enumerate() {
@@ -1270,7 +1268,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
                     self.obs_event(|o| o.spill_retries.inc());
                     std::thread::sleep(Duration::from_millis((1u64 << (attempt - 1)).min(20)));
                 }
-                match spill::write_spill(dir, key, points, artifacts, self.fault_plan()) {
+                match spill::write_spill(dir, key, image, self.fault_plan()) {
                     Ok(()) => {
                         if which > 0 {
                             self.stats.spill_relocations.fetch_add(1, Relaxed);
@@ -1382,13 +1380,13 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
         // key, never wrong data.
         for victim in victims {
             let evicted = self.obs_now();
-            let artifact_bytes = self.config.spill_artifacts.then(|| {
-                let mut bytes = Vec::new();
-                victim.artifacts.serialize_into(&mut bytes);
-                bytes
-            });
-            let written =
-                self.write_spill_durable(victim.key, &victim.points, artifact_bytes.as_deref());
+            // Encoded once, outside the retry ladder.
+            let image = spill::encode_spill(
+                victim.key,
+                &victim.points,
+                self.config.spill_artifacts.then_some(&victim.artifacts),
+            );
+            let written = self.write_spill_durable(victim.key, &image);
             if let (Some(obs), Some(evicted)) = (&self.obs, evicted) {
                 obs.spill_write.record(evicted.elapsed());
             }
@@ -1400,7 +1398,11 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
                 emst_obs::log::warn(
                     "emst-serve",
                     "spill write failed",
-                    &[("key", &victim.key.to_string()), ("error", &e.to_string())],
+                    &[
+                        ("key", &victim.key.to_string()),
+                        ("bytes", &image.len().to_string()),
+                        ("error", &e.to_string()),
+                    ],
                 );
             }
             self.stats.evictions.fetch_add(1, Relaxed);
@@ -1411,7 +1413,10 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
                 spans.push(SpanRecord {
                     name: "spill",
                     secs,
-                    fields: vec![("points", victim.points.len() as u64)],
+                    fields: vec![
+                        ("points", victim.points.len() as u64),
+                        ("bytes", image.len() as u64),
+                    ],
                 });
             }
         }
@@ -1608,22 +1613,18 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
                     // degradation ladder: primary read → fallback read →
                     // artifact restore → deterministic rebuild → typed
                     // error. Corruption at any rung is *detected*
-                    // (section checksums, key digest), counted, and
-                    // degrades to the next rung — never decoded into
-                    // wrong bits.
+                    // (section checksums, key digest, structural
+                    // validation), counted, and degrades to the next
+                    // rung — never decoded into wrong bits.
                     let reload_started = self.obs_now();
                     let mut corrupt = false;
                     let mut io_err: Option<std::io::Error> = None;
                     let mut found: Option<spill::SpillContents<D>> = None;
                     for dir in self.spill_dirs() {
-                        match spill::read_spill::<D>(dir, key, self.fault_plan()) {
+                        match spill::read_spill::<S, D>(dir, key, &self.space, self.fault_plan()) {
                             Ok(Some(c)) => {
-                                if digest_points(&c.points) == key.digest {
-                                    found = Some(c);
-                                    break;
-                                }
-                                self.count_checksum_failure(key, "points digest mismatch");
-                                corrupt = true;
+                                found = Some(c);
+                                break;
                             }
                             Ok(None) => {}
                             Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
@@ -1647,23 +1648,12 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
                     };
                     self.stats.reloads.fetch_add(1, Relaxed);
                     self.obs_event(|o| o.reloads.inc());
+                    // Artifact restore is best-effort: damaged artifact
+                    // sections rebuild — same bits, more work.
                     if contents.artifact_corrupt {
-                        self.count_checksum_failure(key, "artifact section corrupt");
+                        self.count_checksum_failure(key, "artifact sections corrupt");
                     }
-                    // Artifact restore is best-effort: the blob decodes
-                    // with full structural validation, and its point count
-                    // must match the verified points. Anything short of
-                    // that rebuilds — same bits, more work.
-                    let restored = contents.artifacts.as_deref().and_then(|bytes| {
-                        match ShardArtifacts::<D>::deserialize(bytes) {
-                            Ok(a) if a.num_points() == contents.points.len() => Some(a),
-                            Ok(_) | Err(_) => {
-                                self.count_checksum_failure(key, "artifact blob invalid");
-                                None
-                            }
-                        }
-                    });
-                    let (r, work, timings) = match restored {
+                    let (r, work, timings) = match contents.artifacts {
                         Some(artifacts) => {
                             self.stats.artifact_restores.fetch_add(1, Relaxed);
                             self.obs_event(|o| o.artifact_restores.inc());
@@ -2488,6 +2478,7 @@ impl<S: ExecSpace, const D: usize> Drop for ServeEngine<S, D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emst_datasets::io::BlobWriter;
     use emst_exec::{Serial, Threads};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
@@ -2793,8 +2784,10 @@ mod tests {
         engine.resolve_digest(0x9, &random_points_2d(150, 43)); // spills `b` at salt 1
 
         // Both spill files coexist, each holding its own cloud's points.
-        assert_eq!(spill::read_spill::<2>(&engine.spill_dir, k0, None).unwrap().unwrap().points, a);
-        assert_eq!(spill::read_spill::<2>(&engine.spill_dir, k1, None).unwrap().unwrap().points, b);
+        let owner =
+            |k, pts: &[Point<2>]| spill::probe_spill(&engine.spill_dir, k, pts, None).unwrap();
+        assert_eq!((owner(k0, &a), owner(k0, &b)), (SpillOwner::Same, SpillOwner::Other));
+        assert_eq!((owner(k1, &b), owner(k1, &a)), (SpillOwner::Same, SpillOwner::Other));
 
         // Re-presenting an evicted cloud reuses its own spill slot rather
         // than leaking a fresh salt per eviction cycle.
@@ -3028,9 +3021,10 @@ mod tests {
         let path = spill::spill_path(&engine.spill_dir, key);
         let pristine = std::fs::read(&path).unwrap();
 
-        // 300 2-D points: the PNTS payload spans bytes 72..2472, so a cut
+        // 300 2-D points: the PNTS payload spans bytes 84..2484, so a cut
         // at 500 and a flip at 100 both damage the *points*, which must be
-        // a hard error (a flip in the trailing ARTS blob only degrades).
+        // a hard error (a flip in the trailing artifact sections only
+        // degrades).
         let corruptions: [(&str, Vec<u8>); 3] = [
             ("truncated", pristine[..500].to_vec()),
             ("flipped byte", {
@@ -3101,7 +3095,7 @@ mod tests {
         let path = spill::spill_path(&engine.spill_dir, cold.key);
         let mut bytes = std::fs::read(&path).unwrap();
         let len = bytes.len();
-        bytes[len - 20] ^= 0x40; // inside the trailing ARTS payload/checksum
+        bytes[len - 20] ^= 0x40; // inside the last artifact section's payload
         std::fs::write(&path, &bytes).unwrap();
         let back = engine.emst_by_key(cold.key).unwrap();
         assert_eq!(back.outcome, CacheOutcome::Reloaded);
@@ -3110,6 +3104,55 @@ mod tests {
         assert_eq!(stats.artifact_rebuilds, 1);
         assert_eq!(stats.artifact_restores, 0);
         assert!(stats.checksum_failures >= 1);
+    }
+
+    /// Artifact sections cut off entirely — a short write that stopped
+    /// right after the points — still degrade to a counted rebuild: the
+    /// header records that artifacts were written.
+    #[test]
+    fn truncated_artifact_sections_degrade_to_a_counted_rebuild() {
+        let a = random_points_2d(300, 80);
+        let engine = ServeEngine::<_, 2>::new(Serial, ServeConfig::new(3, 1));
+        let cold = engine.emst(&a);
+        engine.emst(&random_points_2d(300, 81)); // evicts `a`
+        let path = spill::spill_path(&engine.spill_dir, cold.key);
+        let bytes = std::fs::read(&path).unwrap();
+        let points_end =
+            8 + BlobWriter::section_len(spill::HEAD_LEN) + BlobWriter::section_len(300 * 2 * 4);
+        std::fs::write(&path, &bytes[..points_end]).unwrap();
+        let back = engine.emst_by_key(cold.key).unwrap();
+        assert_eq!(back.outcome, CacheOutcome::Reloaded);
+        assert_eq!(back.edges, cold.edges);
+        let stats = engine.stats();
+        assert_eq!((stats.artifact_restores, stats.artifact_rebuilds), (0, 1));
+        assert_eq!(stats.checksum_failures, 1);
+    }
+
+    /// The salt probe reads a spill's points only: it finds a cloud's own
+    /// spill (same salt) and steps past a foreign one (next salt) without
+    /// restoring, rebuilding or even checking any artifacts.
+    #[test]
+    fn salt_probe_reads_points_without_restoring_artifacts() {
+        let a = random_points_2d(200, 44);
+        let engine = ServeEngine::<_, 2>::new(Serial, ServeConfig::new(3, 1));
+        let key = engine.emst(&a).key;
+        engine.emst(&random_points_2d(200, 45)); // evicts `a` with its artifacts
+        let path = spill::spill_path(&engine.spill_dir, key);
+        let foreign = random_points_2d(200, 46);
+        assert_eq!(engine.durable_salt(key, &a), key, "its own spill keeps the salt");
+        assert_eq!(engine.durable_salt(key, &foreign), CloudKey { salt: 1, ..key });
+        // Damaged artifact sections do not change what the probe sees.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let len = bytes.len();
+        bytes[len - 20] ^= 0x40;
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(engine.durable_salt(key, &a), key);
+        let stats = engine.stats();
+        assert_eq!((stats.artifact_restores, stats.artifact_rebuilds, stats.reloads), (0, 0, 0));
+        assert_eq!(stats.checksum_failures, 0);
+        // Re-presenting the evicted cloud lands on its original key.
+        let again = engine.emst(&a);
+        assert_eq!((again.outcome, again.key), (CacheOutcome::Miss, key));
     }
 
     /// Tentpole: spill writes retry with backoff and relocate to the

@@ -51,10 +51,10 @@
 use std::io;
 use std::time::Instant;
 
-use emst_bvh::{Bvh, Traversal, TraversalStats};
+use emst_bvh::{Traversal, TraversalStats};
 use emst_core::edge::total_weight;
 use emst_core::{BoruvkaScratch, Edge, EmstConfig, SingleTreeBoruvka};
-use emst_datasets::io::{BlobReader, BlobWriter, ByteReader, ByteWriter};
+use emst_datasets::io::{BlobReader, BlobWriter, ByteReader};
 use emst_exec::counters::CounterSnapshot;
 use emst_exec::{Counters, ExecSpace, PhaseTimings};
 use emst_geometry::{Aabb, Point, Scalar};
@@ -176,11 +176,6 @@ impl<const D: usize> ShardArtifacts<D> {
             bounds,
             flat_seeds,
         }
-    }
-
-    /// Number of ingested points.
-    pub fn num_points(&self) -> usize {
-        self.n
     }
 
     /// The Morton-range plan the build partitioned on.
@@ -775,75 +770,84 @@ impl<const D: usize> ShardArtifacts<D> {
         all
     }
 
-    /// Appends the durable binary encoding of these artifacts to `out` —
-    /// the plan, every local's seeds and BVH, and the precomputed merge
-    /// bounds, framed as checksummed sections (magic `EMSTART1`).
+    /// Bytes [`Self::write_sections`] appends — what a caller sizes its
+    /// blob buffer with.
+    pub fn encoded_len(&self) -> usize {
+        let plan = 16 + 4 * self.n + 8 * (self.plan.num_shards() + 1);
+        let locs = 8 + self.locals.iter().map(|l| 16 + 12 * l.seeds.len()).sum::<usize>();
+        let bnds = 4 * (self.bounds.cross_dist.len() + self.bounds.reach.len());
+        [plan, locs, bnds].into_iter().map(BlobWriter::section_len).sum()
+    }
+
+    /// Appends the durable encoding of these artifacts to `blob` as three
+    /// checksummed sections: `PLAN` (the Morton plan), `LOCS` (every
+    /// local's shard, iteration count and MST seeds) and `BNDS` (the
+    /// precomputed merge bounds).
     ///
-    /// Only state that cannot be derived from the rest is stored:
-    /// `vertex_of_rank`, the vertex→shard maps, `shard_sizes` and
-    /// `flat_seeds` are all recomputed by [`Self::deserialize`]. Build-time
+    /// Only state that is expensive to derive is stored. The per-shard
+    /// BVHs are not: [`Self::read_sections`] rebuilds them from the points
+    /// with the same deterministic call that built them, which costs about
+    /// what decoding them would. `vertex_of_rank`, the vertex→shard maps,
+    /// `shard_sizes` and `flat_seeds` are recomputed too. Build-time
     /// accounting (`build_work`, `build_timings`) is deliberately **not**
     /// persisted — a restore did no build work, and reporting zeros is the
     /// honest signature the serving stats rely on.
-    pub fn serialize_into(&self, out: &mut Vec<u8>) {
-        let mut blob = BlobWriter::new(ARTIFACT_MAGIC);
-        let mut plan = ByteWriter::new();
-        plan.u64(self.n as u64);
-        plan.u64(self.plan.num_shards() as u64);
-        for &o in self.plan.order() {
-            plan.u32(o);
-        }
-        for &b in self.plan.cut_bounds() {
-            plan.u64(b as u64);
-        }
-        blob.section(b"PLAN", &plan.into_vec());
-
-        let mut locs = ByteWriter::new();
-        locs.u64(self.locals.len() as u64);
-        for (l, &iters) in self.locals.iter().zip(&self.local_iterations) {
-            locs.u32(l.shard as u32);
-            locs.u32(iters);
-            locs.u64(l.seeds.len() as u64);
-            for e in &l.seeds {
-                locs.u32(e.u);
-                locs.u32(e.v);
-                locs.f32(e.weight_sq);
+    pub fn write_sections(&self, blob: &mut BlobWriter) {
+        blob.section_with(b"PLAN", |w| {
+            w.u64(self.n as u64);
+            w.u64(self.plan.num_shards() as u64);
+            for &o in self.plan.order() {
+                w.u32(o);
             }
-            let mut bvh = vec![];
-            l.merge.bvh.serialize_into(&mut bvh);
-            locs.u64(bvh.len() as u64);
-            locs.bytes(&bvh);
-        }
-        blob.section(b"LOCS", &locs.into_vec());
-
-        let mut bnds = ByteWriter::new();
-        for &d in &self.bounds.cross_dist {
-            bnds.f32(d);
-        }
-        for &r in &self.bounds.reach {
-            bnds.f32(r);
-        }
-        blob.section(b"BNDS", &bnds.into_vec());
-        out.extend_from_slice(&blob.finish());
+            for &b in self.plan.cut_bounds() {
+                w.u64(b as u64);
+            }
+        });
+        blob.section_with(b"LOCS", |w| {
+            w.u64(self.locals.len() as u64);
+            for (l, &iters) in self.locals.iter().zip(&self.local_iterations) {
+                w.u32(l.shard as u32);
+                w.u32(iters);
+                w.u64(l.seeds.len() as u64);
+                for e in &l.seeds {
+                    w.u32(e.u);
+                    w.u32(e.v);
+                    w.f32(e.weight_sq);
+                }
+            }
+        });
+        blob.section_with(b"BNDS", |w| {
+            for &d in self.bounds.cross_dist.iter().chain(&self.bounds.reach) {
+                w.f32(d);
+            }
+        });
     }
 
-    /// Decodes a blob written by [`Self::serialize_into`], re-deriving all
-    /// the redundant state. Every length, id range and structural invariant
-    /// is validated — corrupt or foreign bytes yield an `InvalidData` error
-    /// (the serving layer's cue to fall back to the deterministic rebuild),
-    /// never a panic or wrong artifacts downstream.
+    /// Reads the sections [`Self::write_sections`] wrote for `points`,
+    /// rebuilding every shard's BVH with `space`. Every length, id range
+    /// and structural invariant is validated before any tree is built —
+    /// corrupt or foreign bytes yield an `InvalidData` error (the serving
+    /// layer's cue to fall back to the full rebuild), never a panic or
+    /// wrong artifacts downstream.
     ///
-    /// The caller is responsible for the blob belonging to the point cloud
-    /// it will be merged against; the serving layer guarantees this by
-    /// storing artifact bytes inside the same digest-named spill file as
-    /// the points themselves.
-    pub fn deserialize(bytes: &[u8]) -> io::Result<Self> {
+    /// `points` must be the verified cloud the sections were written for;
+    /// the serving layer guarantees this by storing both in the same
+    /// digest-named spill file.
+    pub fn read_sections<S: ExecSpace>(
+        blob: &mut BlobReader<'_>,
+        space: &S,
+        points: &[Point<D>],
+    ) -> io::Result<Self> {
         let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
-        let mut blob = BlobReader::open(bytes, ARTIFACT_MAGIC)?;
-
         let plan_bytes = blob.section(b"PLAN")?;
+        let locs_bytes = blob.section(b"LOCS")?;
+        let bnds_bytes = blob.section(b"BNDS")?;
+
         let mut r = ByteReader::new(plan_bytes);
         let n = r.len_capped(plan_bytes.len() / 4, "artifact plan: implausible point count")?;
+        if n != points.len() {
+            return Err(bad("artifact plan: point count disagrees with the points"));
+        }
         let k = r.len_capped(plan_bytes.len() / 8, "artifact plan: implausible shard count")?;
         if k == 0 {
             return Err(bad("artifact plan: zero shards"));
@@ -868,18 +872,21 @@ impl<const D: usize> ShardArtifacts<D> {
         let plan = ShardPlan::from_parts(order, cut_bounds);
         let shard_sizes = plan.shard_sizes();
 
-        let locs_bytes = blob.section(b"LOCS")?;
         let mut r = ByteReader::new(locs_bytes);
         let num_locals = r.len_capped(k, "artifact locals: more locals than shards")?;
-        let mut locals: Vec<LocalArtifact<D>> = Vec::with_capacity(num_locals);
+        if num_locals != shard_sizes.iter().filter(|&&size| size > 0).count() {
+            return Err(bad("artifact locals: not one local per non-empty shard"));
+        }
+        let mut seeded: Vec<(usize, Vec<Edge>)> = Vec::with_capacity(num_locals);
         let mut local_iterations = Vec::with_capacity(num_locals);
         for _ in 0..num_locals {
             let shard = r.u32()? as usize;
             if shard >= k || shard_sizes[shard] == 0 {
                 return Err(bad("artifact locals: local for an empty or out-of-range shard"));
             }
-            if locals.iter().any(|l: &LocalArtifact<D>| l.shard == shard) {
-                return Err(bad("artifact locals: duplicate shard"));
+            // Ascending shard order is the merge's column layout.
+            if seeded.last().is_some_and(|&(prev, _)| prev >= shard) {
+                return Err(bad("artifact locals: shards out of order"));
             }
             local_iterations.push(r.u32()?);
             let num_seeds = r.len_capped(shard_sizes[shard], "artifact locals: seed count")?;
@@ -893,60 +900,40 @@ impl<const D: usize> ShardArtifacts<D> {
                 }
                 seeds.push(Edge::new(u, v, w));
             }
-            let blob_len = r.len_capped(r.remaining(), "artifact locals: bvh blob length")?;
-            let bvh = Bvh::<D>::deserialize(r.take(blob_len)?)
-                .map_err(|e| bad(&format!("artifact locals: {e}")))?;
-            if bvh.num_leaves() != shard_sizes[shard] {
-                return Err(bad("artifact locals: bvh leaf count disagrees with the plan"));
-            }
-            // vertex_of_rank is derived, exactly as MergeShard::build does.
-            let ids = plan.shard_indices(shard);
-            let vertex_of_rank =
-                (0..bvh.num_leaves() as u32).map(|r| ids[bvh.point_index(r) as usize]).collect();
-            let merge = MergeShard { bvh, vertex_of_rank };
-            locals.push(LocalArtifact { shard, merge, seeds });
+            seeded.push((shard, seeds));
         }
         r.done()?;
-        if locals.len() != (0..k).filter(|&s| shard_sizes[s] > 0).count() {
-            return Err(bad("artifact locals: missing a non-empty shard's local"));
-        }
 
-        let bnds_bytes = blob.section(b"BNDS")?;
-        blob.done()?;
-        let stride = locals.len();
         let expect = n
-            .checked_mul(stride)
+            .checked_mul(num_locals)
             .and_then(|c| c.checked_add(n))
             .and_then(|c| c.checked_mul(4))
             .ok_or_else(|| bad("artifact bounds: size overflow"))?;
         if bnds_bytes.len() != expect {
             return Err(bad("artifact bounds: wrong length"));
         }
-        let mut r = ByteReader::new(bnds_bytes);
-        let mut cross_dist = Vec::with_capacity(n * stride);
-        for _ in 0..n * stride {
-            cross_dist.push(r.f32()?);
-        }
-        let mut reach = Vec::with_capacity(n);
-        for _ in 0..n {
-            reach.push(r.f32()?);
-        }
-        r.done()?;
-        // shard_of / rank_of are derived from the rank maps (local index,
-        // not plan shard index — mirroring CrossBounds::compute, which the
-        // merge's cross_dist indexing depends on).
+        let mut floats =
+            bnds_bytes.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")));
+        let cross_dist: Vec<Scalar> = floats.by_ref().take(n * num_locals).collect();
+        let reach: Vec<Scalar> = floats.collect();
+
+        // The locals cover every non-empty shard of a permutation plan,
+        // so the derived rank maps cover every vertex exactly once.
+        // `shard_of` holds the local index, not the plan shard index —
+        // mirroring CrossBounds::compute, which the merge's cross_dist
+        // indexing depends on.
         let mut shard_of = vec![0u32; n];
         let mut rank_of = vec![0u32; n];
-        let mut covered = vec![false; n];
-        for (s, l) in locals.iter().enumerate() {
-            for (rank, &v) in l.merge.vertex_of_rank.iter().enumerate() {
-                shard_of[v as usize] = s as u32;
+        let mut locals: Vec<LocalArtifact<D>> = Vec::with_capacity(num_locals);
+        for (li, (shard, seeds)) in seeded.into_iter().enumerate() {
+            let ids = plan.shard_indices(shard);
+            let pts: Vec<Point<D>> = ids.iter().map(|&i| points[i as usize]).collect();
+            let merge = MergeShard::build(space, &pts, ids);
+            for (rank, &v) in merge.vertex_of_rank.iter().enumerate() {
+                shard_of[v as usize] = li as u32;
                 rank_of[v as usize] = rank as u32;
-                covered[v as usize] = true;
             }
-        }
-        if n > 0 && !covered.iter().all(|&c| c) {
-            return Err(bad("artifact locals: rank maps do not cover every vertex"));
+            locals.push(LocalArtifact { shard, merge, seeds });
         }
         let bounds = CrossBounds { shard_of, rank_of, cross_dist, reach };
         let flat_seeds = locals.iter().flat_map(|l| l.seeds.iter().copied()).collect();
@@ -978,9 +965,6 @@ pub struct UpdateReport {
     pub full_rebuild: bool,
 }
 
-/// Magic of the serialized-artifact blob ([`ShardArtifacts::serialize_into`]).
-pub const ARTIFACT_MAGIC: &[u8; 8] = b"EMSTART1";
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -996,6 +980,75 @@ mod tests {
         (0..n)
             .map(|_| Point::new([rng.random_range(-1.0f32..1.0), rng.random_range(-1.0f32..1.0)]))
             .collect()
+    }
+
+    const TEST_MAGIC: &[u8; 8] = b"EMSTTEST";
+
+    /// The artifacts' sections framed as a standalone blob, sized exactly.
+    fn encode<const D: usize>(a: &ShardArtifacts<D>) -> Vec<u8> {
+        let cap = 8 + a.encoded_len();
+        let mut blob = BlobWriter::with_capacity(TEST_MAGIC, cap);
+        a.write_sections(&mut blob);
+        let bytes = blob.finish();
+        assert_eq!(bytes.len(), cap, "encoded_len must size the sections exactly");
+        bytes
+    }
+
+    fn decode<S: ExecSpace, const D: usize>(
+        bytes: &[u8],
+        space: &S,
+        points: &[Point<D>],
+    ) -> io::Result<ShardArtifacts<D>> {
+        let mut blob = BlobReader::open(bytes, TEST_MAGIC)?;
+        let a = ShardArtifacts::read_sections(&mut blob, space, points)?;
+        blob.done()?;
+        Ok(a)
+    }
+
+    /// Field-by-field equality of everything a restore reproduces: plan,
+    /// per-shard BVHs (leaf order, node bounds, wide nodes) and rank maps,
+    /// seeds, and the merge bounds. Build accounting is excluded — a
+    /// restore did no build work.
+    fn assert_same_artifacts<const D: usize>(a: &ShardArtifacts<D>, b: &ShardArtifacts<D>) {
+        assert_eq!(a.n, b.n);
+        assert_eq!(a.plan.order(), b.plan.order());
+        assert_eq!(a.plan.cut_bounds(), b.plan.cut_bounds());
+        assert_eq!(a.shard_sizes, b.shard_sizes);
+        assert_eq!(a.local_iterations, b.local_iterations);
+        assert_eq!(a.locals.len(), b.locals.len());
+        for (la, lb) in a.locals.iter().zip(&b.locals) {
+            assert_eq!(la.shard, lb.shard);
+            assert!(la.merge.bvh == lb.merge.bvh, "shard {} BVH differs", la.shard);
+            assert_eq!(la.merge.vertex_of_rank, lb.merge.vertex_of_rank);
+            assert_eq!(la.seeds, lb.seeds);
+        }
+        assert_eq!(a.flat_seeds, b.flat_seeds);
+        assert_eq!(a.bounds.shard_of, b.bounds.shard_of);
+        assert_eq!(a.bounds.rank_of, b.bounds.rank_of);
+        let bits = |v: &[Scalar]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.bounds.cross_dist), bits(&b.bounds.cross_dist));
+        assert_eq!(bits(&a.bounds.reach), bits(&b.bounds.reach));
+        assert_eq!(a.resident_bytes(), b.resident_bytes());
+    }
+
+    /// Merge, subset and knn answers of `b` are bit-identical to `a`'s.
+    fn assert_same_answers(a: &ShardArtifacts<2>, b: &ShardArtifacts<2>, pts: &[Point<2>]) {
+        let full = a.merge(&Serial, Traversal::default());
+        assert_eq!(full.edges, b.merge(&Serial, Traversal::default()).edges);
+        let mut accel = b.new_accel();
+        let c = b.merge_accel(&Serial, Traversal::default(), &mut MergeScratch::new(), &mut accel);
+        assert_eq!(full.edges, c.edges, "accelerated merges over restored bounds");
+        let subset: Vec<u32> = (0..pts.len() as u32).step_by(3).collect();
+        let mut scratch = BoruvkaScratch::new();
+        let cfg = EmstConfig::default();
+        assert_eq!(
+            a.merge_subset(&Serial, pts, &subset, &cfg, &mut scratch).edges,
+            b.merge_subset(&Serial, pts, &subset, &cfg, &mut scratch).edges
+        );
+        let mut st = TraversalStats::default();
+        for q in [0, pts.len() / 2, pts.len() - 1] {
+            assert_eq!(a.k_nearest(&pts[q], 5, &mut st), b.k_nearest(&pts[q], 5, &mut st));
+        }
     }
 
     #[test]
@@ -1106,53 +1159,65 @@ mod tests {
     fn serialized_artifacts_restore_to_bit_identical_merges() {
         let pts = random_points_2d(700, 21);
         let built = ShardArtifacts::build(&Serial, &pts, &ShardConfig::new(6));
-        let mut blob = vec![];
-        built.serialize_into(&mut blob);
-        let restored = ShardArtifacts::<2>::deserialize(&blob).unwrap();
+        let blob = encode(&built);
+        // The BVHs are rebuilt from the points: on any backend, the
+        // restore reproduces the resident state exactly.
+        for restored in
+            [decode(&blob, &Serial, &pts).unwrap(), decode(&blob, &Threads, &pts).unwrap()]
+        {
+            assert_same_artifacts(&built, &restored);
+            assert_eq!(restored.build_work().iterations, 0);
+            assert_same_answers(&built, &restored, &pts);
+            // Re-serializing the restored artifacts reproduces the same bytes.
+            assert_eq!(encode(&restored), blob);
+        }
+    }
 
-        // Restored state mirrors the build, minus the build accounting.
-        assert_eq!(restored.num_points(), built.num_points());
-        assert_eq!(restored.shard_sizes(), built.shard_sizes());
-        assert_eq!(restored.local_iterations(), built.local_iterations());
-        assert_eq!(restored.resident_bytes(), built.resident_bytes());
-        assert_eq!(restored.build_work().iterations, 0);
-
-        // Full-cloud merge, subset merge, and knn are all bit-identical.
-        let a = built.merge(&Serial, Traversal::default());
-        let b = restored.merge(&Serial, Traversal::default());
-        assert_eq!(a.edges, b.edges);
-        let subset: Vec<u32> = (0..700).step_by(3).collect();
-        let mut scratch = BoruvkaScratch::new();
-        let sa = built.merge_subset(&Serial, &pts, &subset, &EmstConfig::default(), &mut scratch);
-        let sb =
-            restored.merge_subset(&Serial, &pts, &subset, &EmstConfig::default(), &mut scratch);
-        assert_eq!(sa.edges, sb.edges);
-        let mut st = TraversalStats::default();
-        assert_eq!(built.k_nearest(&pts[17], 5, &mut st), restored.k_nearest(&pts[17], 5, &mut st));
-        // Accelerated merges over the restored bounds stay bit-identical.
-        let mut accel = restored.new_accel();
-        let mut ms = MergeScratch::new();
-        let c = restored.merge_accel(&Serial, Traversal::default(), &mut ms, &mut accel);
-        assert_eq!(a.edges, c.edges);
-
-        // Re-serializing the restored artifacts reproduces the same bytes.
-        let mut blob2 = vec![];
-        restored.serialize_into(&mut blob2);
-        assert_eq!(blob, blob2);
+    #[test]
+    fn restored_update_children_match_their_resident_form() {
+        let pts = random_points_2d(600, 53);
+        let cfg = ShardConfig::new(5);
+        let parent = ShardArtifacts::build(&Serial, &pts, &cfg);
+        // One update that both inserts (routed into a dirty shard) and
+        // deletes, so the child mixes re-solved and reused shards.
+        let (np, mut parent_of) = with_deletes(&pts, &[4, 17, 301]);
+        let mut np = np;
+        np.push(Point::new([0.12, -0.33]));
+        parent_of.push(u32::MAX);
+        let (child, report) = parent
+            .apply_update(
+                &Serial,
+                &pts,
+                &np,
+                &parent_of,
+                &cfg,
+                &mut BoruvkaScratch::new(),
+                None,
+                None,
+            )
+            .unwrap();
+        assert!(
+            !report.full_rebuild && report.reused_shards > 0 && !report.dirty_shards.is_empty()
+        );
+        let restored = decode(&encode(&child), &Serial, &np).unwrap();
+        assert_same_artifacts(&child, &restored);
+        assert_same_answers(&child, &restored, &np);
+        assert_eq!(
+            weight_multiset(&restored.merge(&Serial, Traversal::default()).edges),
+            weight_multiset(&brute_force_emst(&np))
+        );
     }
 
     #[test]
     fn corrupt_artifact_blobs_are_errors_not_panics() {
         let pts = random_points_2d(120, 23);
         let built = ShardArtifacts::build(&Serial, &pts, &ShardConfig::new(3));
-        let mut blob = vec![];
-        built.serialize_into(&mut blob);
-        assert!(ShardArtifacts::<2>::deserialize(&[]).is_err());
+        let blob = encode(&built);
+        assert!(decode(&[], &Serial, &pts).is_err());
         for cut in [7usize, 12, blob.len() / 2, blob.len() - 1] {
-            assert!(ShardArtifacts::<2>::deserialize(&blob[..cut]).is_err(), "cut={cut}");
+            assert!(decode(&blob[..cut], &Serial, &pts).is_err(), "cut={cut}");
         }
-        // A flipped byte anywhere is caught (section checksums), including
-        // deep inside the BVH bytes.
+        // A flipped byte anywhere is caught (section checksums).
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..40 {
             let i = rng.random_range(0..blob.len());
@@ -1161,8 +1226,11 @@ mod tests {
             if bad == blob {
                 continue;
             }
-            assert!(ShardArtifacts::<2>::deserialize(&bad).is_err(), "flip at {i}");
+            assert!(decode(&bad, &Serial, &pts).is_err(), "flip at {i}");
         }
+        // Sections written for another cloud never restore against these
+        // points.
+        assert!(decode(&blob, &Serial, &pts[1..]).is_err());
     }
 
     #[test]
@@ -1259,9 +1327,7 @@ mod tests {
         assert_eq!(weight_multiset(&r.edges), weight_multiset(&brute_force_emst(&np)));
         // The child is a first-class artifact: it serializes and restores
         // to bit-identical merges like any built one.
-        let mut blob = vec![];
-        child.serialize_into(&mut blob);
-        let restored = ShardArtifacts::<2>::deserialize(&blob).unwrap();
+        let restored = decode(&encode(&child), &Serial, &np).unwrap();
         assert_eq!(restored.merge(&Serial, Traversal::default()).edges, r.edges);
     }
 

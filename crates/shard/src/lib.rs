@@ -47,7 +47,7 @@ mod merge;
 pub mod plan;
 pub mod stream;
 
-pub use artifacts::{ShardArtifacts, UpdateReport, ARTIFACT_MAGIC};
+pub use artifacts::{ShardArtifacts, UpdateReport};
 pub use merge::{MergeAccel, MergeDeadlineExceeded, MergeRoundDetail, MergeScratch};
 pub use plan::ShardPlan;
 pub use stream::{emst_sharded_csv, StreamConfig};

@@ -533,3 +533,28 @@ fn known_key_mismatch_and_eviction_fall_back_to_the_points_path() {
     assert_eq!(by_key, by_points);
     assert_eq!((by_key.1).0, CacheOutcome::Miss, "the evicted cloud is rebuilt");
 }
+
+/// The eviction's `spill` span reports the bytes it wrote: its `bytes`
+/// field is the spill file's size on disk, with and without artifacts.
+#[test]
+fn spill_span_bytes_match_the_spill_file_on_disk() {
+    for spill_artifacts in [true, false] {
+        let dir = std::env::temp_dir()
+            .join(format!("emst_spill_bytes_{spill_artifacts}_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut cfg = ServeConfig::new(4, 1);
+        cfg.spill_dir = Some(dir.clone());
+        cfg.spill_artifacts = spill_artifacts;
+        let engine = ServeEngine::<_, 2>::new(Serial, cfg);
+        engine.emst(&cloud(400, 51));
+        engine.emst(&cloud(400, 52)); // budget 1: spills the first cloud
+        let trace = engine.recent_traces(1).pop().expect("trace recorded");
+        let spill = trace.spans.iter().find(|s| s.name == "spill").expect("a spill span");
+        let bytes = spill.fields.iter().find(|&&(k, _)| k == "bytes").expect("bytes field").1;
+        let files: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()).collect();
+        assert_eq!(files.len(), 1, "exactly one spill file: {files:?}");
+        assert_eq!(bytes, std::fs::metadata(&files[0]).unwrap().len(), "{spill_artifacts}");
+        drop(engine);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
